@@ -35,7 +35,14 @@ from .protocol import (
     run_protocol,
     two_point_distribution,
 )
-from .twomode import build_h01, fock_state, mean_n1_analytic, mean_n1_trace, oscillation_law
+from .twomode import (
+    _EIG_LIMIT,
+    build_h01,
+    fock_state,
+    mean_n1_analytic,
+    mean_n1_trace,
+    oscillation_law,
+)
 
 _EPILOG = """\
 physical constants:
@@ -129,7 +136,7 @@ def _build_parser():
         "--mode",
         choices=("exact", "analytic", "both"),
         default="both",
-        help="which traces to emit",
+        help=f"which traces to emit (exact needs M <= {_EIG_LIMIT})",
     )
 
     p = sub.add_parser("bdg", parents=[common], help="quasiparticle spectrum")
@@ -330,10 +337,15 @@ def _cmd_modes(cfg):
 
 def _cmd_dynamics(cfg):
     opts = cfg.options
+    m_total = opts.m_total if opts.m_total is not None else round(cfg.physical.nbar)
+    if opts.mode in ("exact", "both") and m_total > _EIG_LIMIT:
+        raise UnsupportedRegimeError(
+            f"exact trace at M = {m_total} exceeds the exact-evolution limit "
+            f"{_EIG_LIMIT}; run with --mode analytic or a smaller --m-total"
+        )
     dp, grid, gm = _ground_pipeline(cfg)
     m1 = build_xi1(gm)
     coeffs = coefficients(gm, m1, dp)
-    m_total = opts.m_total if opts.m_total is not None else round(cfg.physical.nbar)
     law = oscillation_law(coeffs, m_total)
     t_max = opts.t_max
     if t_max is None:
@@ -437,10 +449,10 @@ def _cmd_protocol(cfg):
     coeffs = coefficients(gm, m1, dp)
     kind, params, support_max = _parse_init(opts.init, n0)
     m_max = opts.m_max if opts.m_max is not None else support_max
-    if m_max > 4000:
+    if m_max > _EIG_LIMIT:
         raise UnsupportedRegimeError(
             f"protocol cap m_max = {m_max} exceeds the exact-evolution limit "
-            "4000; run with a desk-scale --n0"
+            f"{_EIG_LIMIT}; run with a desk-scale --n0"
         )
     if kind == "gaussian":
         init = gaussian_distribution(*params, m_max=m_max)

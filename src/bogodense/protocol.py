@@ -113,13 +113,17 @@ def gaussian_distribution(mean, sigma, m_max):
 
 
 def two_point_distribution(m1, m2, m_max=None, weight=0.5):
+    m1, m2 = int(m1), int(m2)
     if m_max is None:
-        m_max = max(int(m1), int(m2))
+        m_max = max(m1, m2)
+    for m in (m1, m2):
+        if not 0 <= m <= m_max:
+            raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
     if not 0.0 <= weight <= 1.0:
         raise InvalidParameterError(f"weight must be in [0, 1], got {weight}")
     probs = np.zeros(int(m_max) + 1)
-    probs[int(m1)] += weight
-    probs[int(m2)] += 1.0 - weight
+    probs[m1] += weight
+    probs[m2] += 1.0 - weight
     return NumberDistribution(probs)
 
 
@@ -137,19 +141,14 @@ class ProtocolConfig:
     coeffs: object  # CouplingCoefficients built with nbar = n0
     cycles: int
     m_max: int
-    depletion: str = "projective"
-    _cycle_time: float = field(default=None, repr=False)
-    _kernels: dict = field(default_factory=dict, repr=False)
+    _cycle_time: float = field(default=None, init=False, repr=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.cycles < 1:
             raise InvalidParameterError(f"cycles must be >= 1, got {self.cycles}")
         if self.m_max < 1:
             raise InvalidParameterError(f"m_max must be >= 1, got {self.m_max}")
-        if self.depletion != "projective":
-            raise InvalidParameterError(
-                f"unknown depletion scheme {self.depletion!r}"
-            )
         if abs(self.coeffs.nbar - self.n0) > 1e-6 * max(1.0, abs(self.n0)):
             raise InvalidParameterError(
                 f"coefficients were built at nbar = {self.coeffs.nbar}, "
@@ -183,10 +182,8 @@ class ProtocolConfig:
         return self._kernels[m]
 
 
-def run_cycle(dist, cfg, coeffs=None):
+def run_cycle(dist, cfg):
     """One measure-and-remove cycle applied to a number distribution."""
-    if coeffs is not None and coeffs is not cfg.coeffs:
-        cfg = replace(cfg, coeffs=coeffs, _cycle_time=None, _kernels={})
     if dist.support_max > cfg.m_max:
         raise TruncationOverflowError(
             f"distribution support reaches {dist.support_max}, "

@@ -221,6 +221,19 @@ def test_dynamics_rejects_tiny_step_count(capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
+    # The default M = round(nbar) = 1e5 is beyond the exact-evolution limit:
+    # exact traces are refused up front, the analytic law still runs there.
+    for mode in ("exact", "both"):
+        assert main(["dynamics", "--grid-points", "800", "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert "[unsupported-regime]" in err and "--mode analytic" in err
+    args = ["dynamics", "--grid-points", "800", "--steps", "5", "--mode", "analytic"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n", 1)[0] == "t,n1_analytic"
+
+
 # ---------------------------------------------------------------------- bdg
 
 
@@ -299,6 +312,11 @@ def test_protocol_init_specs(capsys):
     assert "malformed --init" in capsys.readouterr().err
     assert main(base + ["--init", "uniform:5"]) == 1
     assert "unknown --init kind" in capsys.readouterr().err
+    # Two-point atom numbers outside 0..m_max are rejected, not indexed.
+    assert main(base + ["--init", "twopoint:80,120", "--m-max", "100"]) == 1
+    assert "error [invalid-parameter]" in capsys.readouterr().err
+    assert main(base + ["--init", "twopoint:-5,120"]) == 1
+    assert "error [invalid-parameter]" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- figure1

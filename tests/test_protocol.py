@@ -82,6 +82,11 @@ def test_distribution_validation():
         gaussian_distribution(-500.0, 0.1, m_max=10)  # no mass on the lattice
     with pytest.raises(InvalidParameterError):
         two_point_distribution(10, 20, weight=1.5)
+    # Both atom numbers must index the support 0..m_max.
+    with pytest.raises(InvalidParameterError, match="120 outside 0..100"):
+        two_point_distribution(80, 120, m_max=100)
+    with pytest.raises(InvalidParameterError, match="-5 outside 0..120"):
+        two_point_distribution(-5, 120)
 
 
 # ---------------------------------------------------------------- configuration
@@ -93,8 +98,6 @@ def test_config_validation(case100):
         ProtocolConfig(n0=100.0, coeffs=co, cycles=0, m_max=115)
     with pytest.raises(InvalidParameterError):
         ProtocolConfig(n0=100.0, coeffs=co, cycles=5, m_max=0)
-    with pytest.raises(InvalidParameterError):
-        ProtocolConfig(n0=100.0, coeffs=co, cycles=5, m_max=115, depletion="soft")
     # Coefficients must be evaluated at the working point.
     with pytest.raises(InvalidParameterError):
         ProtocolConfig(n0=90.0, coeffs=co, cycles=5, m_max=115)
@@ -165,16 +168,6 @@ def test_cycle_records_removed_total(cfg100):
     assert d1.removed_total == pytest.approx(80.0 - d1.mean(), abs=1e-12)
     d2 = run_cycle(d1, cfg100)
     assert d2.removed_total == pytest.approx(80.0 - d2.mean(), abs=1e-12)
-
-
-def test_cycle_with_replacement_coefficients(cfg100, case100):
-    d = point_distribution(90, m_max=115)
-    # Passing the configured coefficients is a no-op path.
-    same = run_cycle(d, cfg100, coeffs=case100["coeffs"])
-    assert np.array_equal(same.probabilities, run_cycle(d, cfg100).probabilities)
-    # Replacement coefficients must match the working point too.
-    with pytest.raises(InvalidParameterError):
-        run_cycle(d, cfg100, coeffs=synthetic_coeffs(nbar=50.0))
 
 
 def test_cycle_rejects_overflowing_support(cfg100):
