@@ -356,6 +356,8 @@ def _cmd_dynamics(cfg):
         t_max = 2.0 * math.pi / law.omega_prime
     if opts.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {opts.steps}")
+    if not math.isfinite(t_max):
+        raise ConfigError(f"--t-max must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, opts.steps)
     header = ["t"]
     omega = cfg.physical.omega
@@ -421,6 +423,8 @@ def _parse_init(spec, n0):
             if rest:
                 mean_s, _, sigma_s = rest.partition(",")
                 mean, sigma = float(mean_s), float(sigma_s)
+                if not (math.isfinite(mean) and math.isfinite(sigma)):
+                    raise ConfigError(f"--init {spec!r} needs a finite mean and sigma")
             else:
                 mean, sigma = n0, math.sqrt(n0)
             m_max = int(math.ceil(mean + 6.0 * sigma))

@@ -19,7 +19,7 @@ observables reported here.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from .twomode import build_h01, evolve_exact, fock_state, oscillation_law
 
 @dataclass(frozen=True, eq=False)
 class NumberDistribution:
-    """Distribution over total atom number M = 0..len-1, plus removal tally."""
+    """Distribution over total atom number M = 0..len-1."""
 
     probabilities: np.ndarray
-    removed_total: float = 0.0  # running mean of removed particles
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
@@ -127,22 +126,18 @@ def two_point_distribution(m1, m2, m_max=None, weight=0.5):
     return NumberDistribution(probs)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Protocol setup.
 
     n0 is the working point: the ground mode and every coefficient are
-    evaluated at nbar = n0, and the cycle time is pi/w'(n0).  The kernel
-    cache persists across cycles; kernels depend only on the coefficients
-    and the fixed cycle time.
+    evaluated at nbar = n0, and the cycle time is pi/w'(n0).
     """
 
     n0: float
     coeffs: object  # CouplingCoefficients built with nbar = n0
     cycles: int
     m_max: int
-    _cycle_time: float = field(default=None, init=False, repr=False)
-    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -158,45 +153,28 @@ class ProtocolConfig:
     @property
     def cycle_time(self):
         """Half transfer period pi/w' at M = round(n0), fixed for the run."""
-        if self._cycle_time is None:
-            law = oscillation_law(self.coeffs, max(1, round(self.n0)))
-            if not law.stable:
-                raise ProtocolInapplicableError(
-                    f"transfer law is unstable at the working point n0 = {self.n0}"
-                )
-            self._cycle_time = math.pi / law.omega_prime
-        return self._cycle_time
+        law = oscillation_law(self.coeffs, max(1, round(self.n0)))
+        if not law.stable:
+            raise ProtocolInapplicableError(
+                f"transfer law is unstable at the working point n0 = {self.n0}"
+            )
+        return math.pi / law.omega_prime
 
     def kernel(self, m):
         """Removal probabilities K(M -> M - j), j = 0..M."""
-        if m not in self._kernels:
-            if m == 0:
-                self._kernels[m] = np.ones(1)
-            else:
-                h = build_h01(self.coeffs, m)
-                evolved = evolve_exact(h, fock_state(m, 0), self.cycle_time)
-                probs = np.abs(evolved.amplitudes) ** 2
-                # Unit-sum measurement probabilities; rescaling removes the
-                # roundoff that would otherwise accumulate over many cycles.
-                self._kernels[m] = probs / probs.sum()
-        return self._kernels[m]
+        if m == 0:
+            return np.ones(1)
+        h = build_h01(self.coeffs, m)
+        evolved = evolve_exact(h, fock_state(m, 0), self.cycle_time)
+        probs = np.abs(evolved.amplitudes) ** 2
+        # Unit-sum measurement probabilities; rescaling removes the
+        # roundoff that would otherwise accumulate over many cycles.
+        return probs / probs.sum()
 
 
 def run_cycle(dist, cfg):
     """One measure-and-remove cycle applied to a number distribution."""
-    if dist.support_max > cfg.m_max:
-        raise TruncationOverflowError(
-            f"distribution support reaches {dist.support_max}, "
-            f"exceeding the cap {cfg.m_max}"
-        )
-    probs = dist.probabilities
-    out = np.zeros(cfg.m_max + 1)
-    for m in np.flatnonzero(probs):
-        out[m::-1] += probs[m] * cfg.kernel(int(m))
-    new = NumberDistribution(out, removed_total=dist.removed_total)
-    return replace(
-        new, removed_total=dist.removed_total + dist.mean() - new.mean()
-    )
+    return run_protocol(dist, replace(cfg, cycles=1)).final
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +208,12 @@ class ProtocolResult:
             "retained_mass": self.final.mass_in(band_lo, band_hi),
             "lost_mass": self.final.mass_in(0, 0.1 * self.n0 - 1e-12),
             "retained_variance": self.final.conditional_variance(band_lo, band_hi),
-            "removed_total": self.final.removed_total,
+            "removed_total": np.cumsum(self.removed)[-1],
         }
 
 
 def run_protocol(init, cfg):
-    """Iterate the removal cycle, tracking the trajectory statistics."""
+    """Iterate the removal cycle as K @ p, tracking the trajectory statistics."""
     if init.support_max > cfg.m_max:
         raise TruncationOverflowError(
             f"initial support reaches {init.support_max}, "
@@ -244,7 +222,13 @@ def run_protocol(init, cfg):
     probs = np.zeros(cfg.m_max + 1)
     src = init.probabilities[: cfg.m_max + 1]
     probs[: src.size] = src
-    dist = NumberDistribution(probs, removed_total=init.removed_total)
+    dist = NumberDistribution(probs)
+    # Column m of the lower-triangular K is the kernel of M = m, built the
+    # first time M = m carries probability.  Probability only moves down,
+    # so K never needs rows or columns above the initial support.
+    size = dist.support_max + 1
+    k = np.zeros((size, size))
+    built = np.zeros(size, dtype=bool)
     band_lo, band_hi = 0.9 * cfg.n0, 1.1 * cfg.n0
     n = cfg.cycles + 1
     means = np.empty(n)
@@ -254,9 +238,14 @@ def run_protocol(init, cfg):
     removed = np.zeros(n)
     for i in range(n):
         if i > 0:
-            prev_mean = dist.mean()
-            dist = run_cycle(dist, cfg)
-            removed[i] = prev_mean - dist.mean()
+            p = dist.probabilities[:size]
+            for m in np.flatnonzero((p > 0) & ~built):
+                k[m::-1, m] = cfg.kernel(int(m))
+                built[m] = True
+            out = np.zeros(cfg.m_max + 1)
+            out[:size] = k @ p
+            dist = NumberDistribution(out)
+            removed[i] = means[i - 1] - dist.mean()
         means[i] = dist.mean()
         variances[i] = dist.variance()
         retained[i] = dist.mass_in(band_lo, band_hi)

@@ -169,8 +169,11 @@ def evolve_exact(h, s0, t):
         return s0
     amp = s0.amplitudes
     if h.m_total <= _EIG_LIMIT:
+        # Real GEMVs on the split parts: a complex operand would make numpy
+        # copy v to complex on each product.
         w, v = h.eigensystem()
-        amp = v @ (np.exp(-1j * w * t) * (v.T @ amp))
+        c = np.exp(-1j * w * t) * (v.T @ amp.real + 1j * (v.T @ amp.imag))
+        amp = v @ c.real + 1j * (v @ c.imag)
     else:
         amp = _expm_multiply_band(h, amp, t)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
@@ -188,6 +191,8 @@ def mean_n1(s):
 def mean_n1_trace(h, s0, times):
     """<n1>(t) sampled at the given times."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise InvalidParameterError("times must be finite")
     n = np.arange(h.m_total + 1, dtype=float)
     out = np.empty(times.shape)
     if h.m_total <= _EIG_LIMIT:

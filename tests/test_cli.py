@@ -219,6 +219,10 @@ def test_dynamics_single_trace_selection(capsys):
 def test_dynamics_rejects_tiny_step_count(capsys):
     assert main(["dynamics", *FAST, "--steps", "1"]) == 1
     assert "error [config]" in capsys.readouterr().err
+    # A non-finite trace length would print nan rows, not a certified trace.
+    for bad in ("nan", "inf"):
+        assert main(["dynamics", *FAST, "--t-max", bad]) == 1
+        assert "error [config]" in capsys.readouterr().err
 
 
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
@@ -317,6 +321,9 @@ def test_protocol_init_specs(capsys):
     assert "error [invalid-parameter]" in capsys.readouterr().err
     assert main(base + ["--init", "twopoint:-5,120"]) == 1
     assert "error [invalid-parameter]" in capsys.readouterr().err
+    for spec in ("gaussian:inf,4", "gaussian:100,inf"):
+        assert main(base + ["--init", spec]) == 1
+        assert "error [config]" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- figure1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,9 @@ def test_evolution_basics():
         evolve_exact(h, fock_state(7, 0), 1.0)
     with pytest.raises(InvalidParameterError):
         evolve_exact(h, s0, float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            mean_n1_trace(h, s0, np.array([0.0, bad]))
 
 
 def test_diagonal_hamiltonian_preserves_occupations():
@@ -137,6 +141,21 @@ def test_norm_conservation_both_paths(case1000, monkeypatch):
     prob = np.abs(s_eig.amplitudes) ** 2
     total = float(np.sum((1000.0 - n) * prob) + np.sum(n * prob))
     assert abs(total - 1000.0) < 1e-8
+
+
+def test_spectral_evolution_keeps_eigenvectors_real(case1000):
+    # A complex operand would make numpy copy the 8 MB real eigenvector
+    # matrix to a 16 MB complex one on each product.
+    h = build_h01(case1000["coeffs"], 1000)
+    h.eigensystem()
+    s0 = fock_state(1000, 0)
+    tracemalloc.start()
+    try:
+        evolve_exact(h, s0, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_large_branch_matches_eigensolution(case100, monkeypatch):
