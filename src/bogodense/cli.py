@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,20 +72,6 @@ _DEFAULTS = {
 }
 
 _FILE_KEYS = tuple(_DEFAULTS)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    physical: PhysicalParams
-    n_points: int
-    r_max: float
-    tol: float
-    max_iter: int
-    output: str
-    format: str
-    si: bool
-    command: str
-    options: argparse.Namespace
 
 
 def _build_parser():
@@ -185,14 +171,14 @@ def _read_config_file(path):
     return values
 
 
-def parse_config(argv=None, file=None):
-    """Parse flags (and optional config file) into a RunConfig.
+def parse_config(argv=None):
+    """Parse flags (and the --config file) into the argparse namespace.
 
+    The resolved PhysicalParams land on its ``physical`` attribute.
     Precedence: flags, then file values, then built-in defaults.
     """
     args = _build_parser().parse_args(argv)
-    path = file if file is not None else args.config
-    file_values = _read_config_file(path) if path else {}
+    file_values = _read_config_file(args.config) if args.config else {}
 
     def pick(key):
         flag = getattr(args, key.replace("-", "_"))
@@ -200,25 +186,14 @@ def parse_config(argv=None, file=None):
             return flag
         return file_values.get(key, _DEFAULTS[key])
 
-    physical = PhysicalParams(
+    args.physical = PhysicalParams(
         mass=pick("mass-kg"),
         scattering_length=pick("scattering-length-m"),
         trap_frequency=pick("trap-frequency-hz"),
         nbar=pick("nbar"),
         n0=pick("n0"),
     )
-    return RunConfig(
-        physical=physical,
-        n_points=args.grid_points,
-        r_max=args.r_max,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        output=args.output,
-        format=args.format,
-        si=args.si,
-        command=args.command,
-        options=args,
-    )
+    return args
 
 
 def _fmt_cell(x):
@@ -252,6 +227,7 @@ def _sanitize(obj):
 
 def _deliver(cfg, header, columns, summary):
     text = _csv_text(header, columns)
+    summary["units"] = "si" if cfg.si else "trap"
     payload = json.dumps(_sanitize(summary), indent=2, sort_keys=True)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -268,36 +244,36 @@ def _deliver(cfg, header, columns, summary):
         sys.stdout.write(text)
 
 
-def _ground_pipeline(cfg, nbar=None):
+def _stages(cfg, nbar=None):
+    """The mean-field chain: trap units, grid, xi0, xi1 and the couplings."""
     physical = cfg.physical
     if nbar is not None and nbar != physical.nbar:
         physical = replace(physical, nbar=nbar)
     dp = to_dimensionless(physical)
-    grid = default_grid(dp, n_points=cfg.n_points, r_max=cfg.r_max)
+    grid = default_grid(dp, n_points=cfg.grid_points, r_max=cfg.r_max)
     gm = solve_gpe(dp, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-    return dp, grid, gm
+    m1 = build_xi1(gm)
+    return dp, grid, gm, m1, coefficients(gm, m1, dp)
 
 
-def _length_scale(cfg, dp):
-    return dp.r0 if cfg.si else 1.0
-
-
-def _energy_scale(cfg):
-    return HBAR * cfg.physical.omega if cfg.si else 1.0
+def _scales(cfg, dp):
+    """Output factors for lengths, energies and frequencies (1 in trap units)."""
+    if not cfg.si:
+        return 1.0, 1.0, 1.0
+    omega = cfg.physical.omega
+    return dp.r0, HBAR * omega, omega
 
 
 def _cmd_ground(cfg):
-    dp, grid, gm = _ground_pipeline(cfg)
-    lr = _length_scale(cfg, dp)
+    dp, grid, gm, _, _ = _stages(cfg)
+    lr, es, _ = _scales(cfg, dp)
     header = ["r", "xi0"]
     columns = [grid.nodes * lr, gm.xi0.values * lr**-1.5]
-    if cfg.options.tf and dp.g > 0:
+    if cfg.tf and dp.g > 0:
         tf = thomas_fermi_mode(dp, grid)
         header.append("xi0_tf")
         columns.append(tf.xi0.values * lr**-1.5)
-    es = _energy_scale(cfg)
     summary = {
-        "units": "si" if cfg.si else "trap",
         "mu": gm.mu * es,
         "nbar": gm.nbar,
         "residual": gm.residual,
@@ -320,153 +296,141 @@ def _coefficient_summary(coeffs, es):
 
 
 def _cmd_modes(cfg):
-    dp, grid, gm = _ground_pipeline(cfg)
-    m1 = build_xi1(gm)
-    coeffs = coefficients(gm, m1, dp)
-    lr = _length_scale(cfg, dp)
+    dp, grid, gm, m1, coeffs = _stages(cfg)
+    lr, es, _ = _scales(cfg, dp)
     header = ["r", "xi0", "xi1"]
     columns = [
         grid.nodes * lr,
         gm.xi0.values * lr**-1.5,
         m1.xi1.values * lr**-1.5,
     ]
-    summary = {"units": "si" if cfg.si else "trap"}
-    summary.update(_coefficient_summary(coeffs, _energy_scale(cfg)))
-    _deliver(cfg, header, columns, summary)
+    _deliver(cfg, header, columns, _coefficient_summary(coeffs, es))
 
 
 def _cmd_dynamics(cfg):
-    opts = cfg.options
-    m_total = opts.m_total if opts.m_total is not None else round(cfg.physical.nbar)
-    if opts.mode in ("exact", "both") and m_total > _EIG_LIMIT:
+    m_total = cfg.m_total if cfg.m_total is not None else round(cfg.physical.nbar)
+    if m_total < 1:
+        raise ConfigError(f"--m-total must be >= 1, got {m_total}")
+    exact = cfg.mode in ("exact", "both")
+    if exact and m_total > _EIG_LIMIT:
         raise UnsupportedRegimeError(
             f"exact trace at M = {m_total} exceeds the exact-evolution limit "
             f"{_EIG_LIMIT}; run with --mode analytic or a smaller --m-total"
         )
-    dp, grid, gm = _ground_pipeline(cfg)
-    m1 = build_xi1(gm)
-    coeffs = coefficients(gm, m1, dp)
+    if cfg.steps < 2:
+        raise ConfigError(f"--steps must be >= 2, got {cfg.steps}")
+    if cfg.t_max is not None and not math.isfinite(cfg.t_max):
+        raise ConfigError(f"--t-max must be finite, got {cfg.t_max}")
+    dp, _, _, _, coeffs = _stages(cfg)
+    _, _, freq = _scales(cfg, dp)
     law = oscillation_law(coeffs, m_total)
-    t_max = opts.t_max
+    t_max = cfg.t_max
     if t_max is None:
         if not law.stable:
             raise InapplicableLawError(
                 f"oscillation law is unstable at M = {m_total}; supply --t-max"
             )
         t_max = 2.0 * math.pi / law.omega_prime
-    if opts.steps < 2:
-        raise ConfigError(f"--steps must be >= 2, got {opts.steps}")
-    if not math.isfinite(t_max):
-        raise ConfigError(f"--t-max must be finite, got {t_max}")
-    times = np.linspace(0.0, t_max, opts.steps)
+    times = np.linspace(0.0, t_max, cfg.steps)
     header = ["t"]
-    omega = cfg.physical.omega
-    columns = [times / omega if cfg.si else times]
-    if opts.mode in ("exact", "both"):
+    columns = [times / freq]
+    if exact:
         h = build_h01(coeffs, m_total)
         header.append("n1_exact")
         columns.append(mean_n1_trace(h, fock_state(m_total, 0), times))
-    if opts.mode in ("analytic", "both"):
+    if cfg.mode in ("analytic", "both"):
         if law.stable:
             header.append("n1_analytic")
             columns.append(mean_n1_analytic(law, times))
-        elif opts.mode == "analytic":
+        elif cfg.mode == "analytic":
             raise InapplicableLawError(
                 f"oscillation law is unstable at M = {m_total}"
             )
     summary = {
-        "units": "si" if cfg.si else "trap",
         "m_total": int(m_total),
         "c1": law.c1,
         "c2": law.c2,
-        "omega_prime": law.omega_prime * (omega if cfg.si else 1.0),
+        "omega_prime": law.omega_prime * freq,
         "stable": law.stable,
     }
     _deliver(cfg, header, columns, summary)
 
 
 def _cmd_bdg(cfg):
-    opts = cfg.options
-    dp, grid, gm = _ground_pipeline(cfg)
-    m1 = build_xi1(gm)
-    spectrum = solve_bdg(gm, dp, num_modes=opts.num_modes)
+    if cfg.num_modes < 1:
+        raise ConfigError(f"--num-modes must be >= 1, got {cfg.num_modes}")
+    dp, grid, gm, m1, _ = _stages(cfg)
+    lr, es, freq = _scales(cfg, dp)
+    spectrum = solve_bdg(gm, dp, num_modes=cfg.num_modes)
     decomp = decompose_mode1(m1, spectrum)
-    es = _energy_scale(cfg)
-    freq_scale = cfg.physical.omega if cfg.si else 1.0
     k = np.arange(1, len(spectrum.modes) + 1)
     header = ["k", "omega_k", "p_k", "q_k"]
-    columns = [k, spectrum.frequencies * freq_scale, decomp.p, decomp.q]
+    columns = [k, spectrum.frequencies * freq, decomp.p, decomp.q]
     summary = {
-        "units": "si" if cfg.si else "trap",
-        "frequencies": list(spectrum.frequencies * freq_scale),
+        "frequencies": list(spectrum.frequencies * freq),
         "p": list(decomp.p),
         "q": list(decomp.q),
         "residual": decomp.residual,
         "c_const": spectrum.c_const * es,
     }
     _deliver(cfg, header, columns, summary)
-    if opts.dump_modes:
-        lr = _length_scale(cfg, dp)
+    if cfg.dump_modes:
         dump_header = ["r"]
         dump_columns = [grid.nodes * lr]
         for i, mode in enumerate(spectrum.modes, 1):
             dump_header += [f"u_{i}", f"v_{i}"]
             dump_columns += [mode.u.values * lr**-1.5, mode.v.values * lr**-1.5]
-        with open(opts.dump_modes, "w", encoding="utf-8") as fh:
+        with open(cfg.dump_modes, "w", encoding="utf-8") as fh:
             fh.write(_csv_text(dump_header, dump_columns))
 
 
-def _parse_init(spec, n0):
+def _initial_distribution(spec, n0, m_max):
+    """The --init distribution on 0..m_max; m_max defaults to its support."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "gaussian":
+            make = gaussian_distribution
             if rest:
                 mean_s, _, sigma_s = rest.partition(",")
-                mean, sigma = float(mean_s), float(sigma_s)
-                if not (math.isfinite(mean) and math.isfinite(sigma)):
+                args = (float(mean_s), float(sigma_s))
+                if not all(map(math.isfinite, args)):
                     raise ConfigError(f"--init {spec!r} needs a finite mean and sigma")
             else:
-                mean, sigma = n0, math.sqrt(n0)
-            m_max = int(math.ceil(mean + 6.0 * sigma))
-            return ("gaussian", (mean, sigma), m_max)
-        if kind == "point":
-            m = int(rest)
-            return ("point", (m,), m)
-        if kind == "twopoint":
+                args = (n0, math.sqrt(n0))
+            support = int(math.ceil(args[0] + 6.0 * args[1]))
+        elif kind == "point":
+            make, args = point_distribution, (int(rest),)
+            support = args[0]
+        elif kind == "twopoint":
             m1_s, _, m2_s = rest.partition(",")
-            m1, m2 = int(m1_s), int(m2_s)
-            return ("twopoint", (m1, m2), max(m1, m2))
-    except ValueError:
+            make, args = two_point_distribution, (int(m1_s), int(m2_s))
+            support = max(args)
+        else:
+            raise ConfigError(
+                f"unknown --init kind {kind!r} (want gaussian, point or twopoint)"
+            )
+    except (ValueError, OverflowError):
         raise ConfigError(f"malformed --init spec {spec!r}") from None
-    raise ConfigError(
-        f"unknown --init kind {kind!r} (want gaussian, point or twopoint)"
-    )
-
-
-def _cmd_protocol(cfg):
-    opts = cfg.options
-    n0 = cfg.physical.n0
-    # The protocol works at its target occupation: every coefficient is
-    # evaluated with nbar = n0.
-    dp, grid, gm = _ground_pipeline(cfg, nbar=n0)
-    m1 = build_xi1(gm)
-    coeffs = coefficients(gm, m1, dp)
-    kind, params, support_max = _parse_init(opts.init, n0)
-    m_max = opts.m_max if opts.m_max is not None else support_max
+    if m_max is None:
+        m_max = support
     if m_max > _EIG_LIMIT:
         raise UnsupportedRegimeError(
             f"protocol cap m_max = {m_max} exceeds the exact-evolution limit "
             f"{_EIG_LIMIT}; run with a desk-scale --n0"
         )
-    if kind == "gaussian":
-        init = gaussian_distribution(*params, m_max=m_max)
-    elif kind == "point":
-        init = point_distribution(*params, m_max=m_max)
-    else:
-        init = two_point_distribution(*params, m_max=m_max)
-    pcfg = ProtocolConfig(
-        n0=n0, coeffs=coeffs, cycles=opts.cycles, m_max=m_max
-    )
+    return make(*args, m_max=m_max)
+
+
+def _cmd_protocol(cfg):
+    if cfg.cycles < 1:
+        raise ConfigError(f"--cycles must be >= 1, got {cfg.cycles}")
+    n0 = cfg.physical.n0
+    init = _initial_distribution(cfg.init, n0, cfg.m_max)
+    # The protocol works at its target occupation: every coefficient is
+    # evaluated with nbar = n0.
+    dp, _, _, _, coeffs = _stages(cfg, nbar=n0)
+    _, _, freq = _scales(cfg, dp)
+    pcfg = ProtocolConfig(n0=n0, coeffs=coeffs, cycles=cfg.cycles, m_max=init.m_max)
     result = run_protocol(init, pcfg)
     cycles = np.arange(result.means.size)
     header = ["cycle", "mean", "variance", "retained_mass", "lost_mass", "removed_this_cycle"]
@@ -478,21 +442,15 @@ def _cmd_protocol(cfg):
         result.lost_mass,
         result.removed,
     ]
-    summary = {"n0": n0, "init": opts.init, "m_max": m_max}
+    summary = {"n0": n0, "init": cfg.init, "m_max": init.m_max}
     summary.update(result.summary())
-    if cfg.si:
-        summary["cycle_time"] = result.cycle_time / cfg.physical.omega
-        summary["units"] = "si"
-    else:
-        summary["units"] = "trap"
+    summary["cycle_time"] = result.cycle_time / freq
     _deliver(cfg, header, columns, summary)
 
 
 def _cmd_figure1(cfg):
-    dp, grid, gm = _ground_pipeline(cfg)
-    m1 = build_xi1(gm)
-    coeffs = coefficients(gm, m1, dp)
-    lr = _length_scale(cfg, dp)
+    dp, grid, gm, m1, coeffs = _stages(cfg)
+    lr, es, _ = _scales(cfg, dp)
     header = ["r", "xi0_numeric"]
     columns = [grid.nodes * lr, gm.xi0.values * lr**-1.5]
     if dp.g > 0:
@@ -501,9 +459,7 @@ def _cmd_figure1(cfg):
         columns.append(tf.xi0.values * lr**-1.5)
     header.append("xi1")
     columns.append(m1.xi1.values * lr**-1.5)
-    es = _energy_scale(cfg)
     summary = {
-        "units": "si" if cfg.si else "trap",
         "b_tf": dp.b_tf,
         "nbar": dp.nbar,
         "residual": gm.residual,
@@ -526,9 +482,9 @@ def _report_error(exc, fmt):
     category = getattr(exc, "category", "io")
     if fmt == "json":
         payload = {"error": {"category": category, "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
+        sys.stderr.write(json.dumps(payload) + "\n")
     else:
-        print(f"error [{category}]: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error [{category}]: {exc}\n")
 
 
 def main(argv=None):

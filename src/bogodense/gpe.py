@@ -131,6 +131,8 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
         raise UnsupportedRegimeError(
             f"attractive interactions (g = {dp.g}) are not supported"
         )
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     values = _initial_guess(dp, grid)
     res = residual_norm(dp, RadialField(grid, values), dp.nbar)
     iterations = 0

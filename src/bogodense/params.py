@@ -84,7 +84,14 @@ def to_dimensionless(params):
     g scales as sqrt(omega) through r0, so doubling the trap frequency
     multiplies g by sqrt(2).
     """
-    r0 = math.sqrt(HBAR / (params.mass * params.omega))
+    mass_omega = params.mass * params.omega
+    if not (mass_omega > 0 and math.isfinite(mass_omega)):
+        raise InvalidParameterError(
+            f"mass * omega = {mass_omega} is not a finite positive number"
+        )
+    r0 = math.sqrt(HBAR / mass_omega)
+    if not (r0 > 0 and math.isfinite(r0)):
+        raise InvalidParameterError(f"r0 = {r0} is not a finite positive number")
     g = 4.0 * math.pi * params.scattering_length / r0
     b_tf = (15.0 * params.nbar * params.scattering_length / r0) ** 0.4
     return DimensionlessParams(

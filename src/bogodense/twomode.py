@@ -41,7 +41,6 @@ class TwoModeHamiltonian:
     diag: np.ndarray  # <n|H|n>, length M+1
     off1: np.ndarray  # <n+1|H|n>, length M
     off2: np.ndarray  # <n+2|H|n>, length M-1
-    coeffs: object = None
     _eig: tuple = field(default=None, repr=False)
 
     def to_banded_lower(self):
@@ -130,7 +129,7 @@ def build_h01(coeffs, m_total):
         * coeffs.gamma
         * np.sqrt((k + 1.0) * (k + 2.0) * (m - k) * (m - k - 1.0))
     )
-    return TwoModeHamiltonian(m_total=m, diag=diag, off1=off1, off2=off2, coeffs=coeffs)
+    return TwoModeHamiltonian(m_total=m, diag=diag, off1=off1, off2=off2)
 
 
 def _expm_multiply_band(h, amp, t):
@@ -208,6 +207,9 @@ def mean_n1_trace(h, s0, times):
             re = v @ (cos * cr[:, None] + sin * ci[:, None])
             im = v @ (cos * ci[:, None] - sin * cr[:, None])
             out[lo : lo + _TRACE_BLOCK] = n @ (re**2 + im**2)
+        # At t = 0 the state is s0 itself, as in evolve_exact; the GEMMs
+        # would leave round-off there that depends on the BLAS thread count.
+        out[times == 0.0] = mean_n1(s0)
         return out
     state = s0
     t_prev = 0.0
@@ -231,6 +233,8 @@ class OscillationLaw:
 
 def oscillation_law(coeffs, m_total):
     """Closed-form oscillation parameters of the linearized two-mode model."""
+    if m_total < 1:
+        raise InvalidParameterError(f"m_total must be >= 1, got {m_total}")
     m = float(m_total)
     nbar = coeffs.nbar
     delta = (

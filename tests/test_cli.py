@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ def test_defaults_applied():
     assert p.scattering_length == _DEFAULTS["scattering-length-m"]
     assert p.trap_frequency == _DEFAULTS["trap-frequency-hz"]
     assert p.nbar == _DEFAULTS["nbar"]
-    assert cfg.n_points == 4000
+    assert cfg.grid_points == 4000
     assert cfg.format == "csv"
     assert not cfg.si
 
@@ -46,9 +50,6 @@ def test_config_file_precedence(tmp_path):
     assert cfg.physical.nbar == 300.0  # flag beats file
     assert cfg.physical.trap_frequency == 500.0  # file beats default
     assert cfg.physical.mass == _DEFAULTS["mass-kg"]  # default survives
-    # The file can also be supplied programmatically.
-    cfg2 = parse_config(["ground"], file=str(path))
-    assert cfg2.physical.nbar == 250.0
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -87,9 +88,35 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["ground", *FAST, "--mass-kg", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [invalid-parameter]:")
+    # A nan or inf tolerance used to skip the solve and exit 0 unconverged.
+    for bad in ("nan", "inf", "0"):
+        assert main(["ground", *FAST, "--tol", bad]) == 1
+        assert capsys.readouterr().err.startswith("error [invalid-parameter]:")
     # argparse errors keep their conventional exit status.
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_option_errors_reported_before_solve(monkeypatch, capsys):
+    # Every check that does not need the solved mode runs before the GPE.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_gpe called before the option checks")
+
+    monkeypatch.setattr("bogodense.cli.solve_gpe", no_solve)
+    cases = [
+        (["dynamics", "--steps", "1"], "config"),
+        (["dynamics", "--t-max", "nan"], "config"),
+        (["dynamics", "--m-total", "0"], "config"),
+        (["dynamics", "--m-total", "5000"], "unsupported-regime"),
+        (["protocol", "--init", "point:5000"], "unsupported-regime"),
+        (["protocol", "--init", "twopoint:5,1e3"], "config"),
+        (["protocol", "--init", "gaussian:inf,4"], "config"),
+        (["protocol", "--cycles", "0", "--init", "point:90"], "config"),
+        (["bdg", "--num-modes", "0"], "config"),
+    ]
+    for argv, category in cases:
+        assert main(argv[:1] + FAST + argv[1:]) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error [{category}]:"), argv
 
 
 def test_json_error_rendering(capsys):
@@ -223,6 +250,31 @@ def test_dynamics_rejects_tiny_step_count(capsys):
     for bad in ("nan", "inf"):
         assert main(["dynamics", *FAST, "--t-max", bad]) == 1
         assert "error [config]" in capsys.readouterr().err
+    # M < 1 used to print c1 = c2 = 0 (M = 0) or a negative <n1> (M < 0).
+    for bad in ("0", "-5"):
+        assert main(["dynamics", *FAST, "--mode", "analytic", "--m-total", bad]) == 1
+        assert "error [config]" in capsys.readouterr().err
+
+
+def test_output_bytes_independent_of_thread_count():
+    # The exact trace's t = 0 cell used to carry round-off that depended on
+    # the BLAS thread count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["dynamics", "--nbar", "1000", "--n0", "1000", "--grid-points", "1500",
+            "--steps", "300"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["BOGODENSE_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bogodense.cli", *argv],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split(b"\n")[1] == b"0,0,0"
 
 
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):

@@ -100,6 +100,15 @@ def test_attractive_rejected():
         solve_gpe(bad, default_grid(dp, n_points=500))
 
 
+def test_tolerance_must_be_finite_and_positive():
+    # A nan or inf tolerance would skip the iteration and return the guess.
+    dp = to_dimensionless(reference_params(100.0))
+    grid = default_grid(dp, n_points=500)
+    for bad in (float("nan"), float("inf"), 0.0, -1e-8):
+        with pytest.raises(InvalidParameterError):
+            solve_gpe(dp, grid, tol=bad)
+
+
 def test_convergence_error_carries_state():
     dp = to_dimensionless(reference_params(1.0e5))
     grid = default_grid(dp, n_points=1000)

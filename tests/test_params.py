@@ -83,3 +83,22 @@ def test_invalid_parameters_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidParameterError):
         PhysicalParams(**base)
+
+
+@pytest.mark.parametrize(
+    "mass, trap_frequency",
+    [
+        (1.44e-25, 1.0e-300),  # mass * omega underflows to 0
+        (1.0e300, 1.0e300),  # mass * omega overflows, so r0 = 0
+    ],
+)
+def test_unrepresentable_oscillator_length_rejected(mass, trap_frequency):
+    params = PhysicalParams(
+        mass=mass,
+        scattering_length=1.0e-8,
+        trap_frequency=trap_frequency,
+        nbar=1.0e4,
+        n0=1.0e4,
+    )
+    with pytest.raises(InvalidParameterError):
+        to_dimensionless(params)

@@ -113,6 +113,8 @@ def test_evolution_basics():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError):
             mean_n1_trace(h, s0, np.array([0.0, bad]))
+    # The t = 0 sample is s0 itself, exactly, on the spectral path too.
+    assert mean_n1_trace(h, s0, np.array([0.0, 0.5, 0.0]))[[0, 2]].tolist() == [0.0, 0.0]
 
 
 def test_diagonal_hamiltonian_preserves_occupations():
@@ -248,6 +250,13 @@ def test_unstable_law_flagged():
     assert math.isnan(law.omega_prime) and math.isnan(law.c1)
     with pytest.raises(InapplicableLawError):
         mean_n1_analytic(law, 0.3)
+
+
+def test_oscillation_law_needs_atoms():
+    # M = 0 gave c1 = c2 = 0 and M < 0 a negative <n1>.
+    for bad in (0, -5):
+        with pytest.raises(InvalidParameterError):
+            oscillation_law(GENERIC, bad)
 
 
 def test_transfer_coefficient_chain_near_working_point():
