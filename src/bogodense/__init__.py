@@ -1,20 +1,36 @@
 """Mean-density two-mode Bogoliubov dynamics of a trapped Bose condensate."""
 
 import os
+import sys
+import warnings
 
 
 def _cap_threads():
     # BOGODENSE_THREADS caps BLAS/OpenMP pools; it must be applied before
     # numpy initializes, which is why it lives at the package root.
     cap = os.environ.get("BOGODENSE_THREADS")
-    if cap:
+    if not cap:
+        return
+    unset = [
+        var
         for var in (
             "OMP_NUM_THREADS",
             "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
+        )
+        if var not in os.environ
+    ]
+    if unset and "numpy" in sys.modules:
+        warnings.warn(
+            f"BOGODENSE_THREADS={cap} cannot cap the thread pools: numpy was "
+            "imported before bogodense; set the cap before launch or import "
+            "bogodense first",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    for var in unset:
+        os.environ[var] = cap
 
 
 _cap_threads()

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
 
 from .errors import EigensolverError, InvalidParameterError
 from .grid import RadialField, integrate
@@ -51,6 +49,8 @@ class QuasiparticleSpectrum:
 
 
 def _operators(gm, dp):
+    from scipy import sparse
+
     grid = gm.xi0.grid
     h = grid.h
     kin_diag = np.full(grid.n_points, 1.0 / h**2)
@@ -74,6 +74,10 @@ def solve_bdg(gm, dp, num_modes=8):
     Returns the spectrum sorted by frequency together with the quantum
     depletion energy constant C = -sum_k omega_k * integral(V_k^2).
     """
+    # Imported here so that only the quasiparticle solve pays for loading
+    # scipy.sparse and ARPACK.
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
+
     if gm.method == "thomas_fermi":
         raise InvalidParameterError(
             "quasiparticle solve needs a smooth mode; the Thomas-Fermi "

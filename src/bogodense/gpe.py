@@ -16,10 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .errors import ConvergenceError, InvalidParameterError, UnsupportedRegimeError
+from .errors import (
+    ConvergenceError,
+    InvalidParameterError,
+    TruncationOverflowError,
+    UnsupportedRegimeError,
+)
 from .grid import RadialField, integrate, laplacian
 
 _METHODS = ("numeric", "thomas_fermi", "gaussian")
+# A ground mode may keep at most this weight in the outer tenth of the
+# grid; more means the hard wall at r_max cuts the cloud.
+_WALL_WEIGHT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +134,10 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
     GroundMode
         Normalized non-negative mode with chemical potential, final
         residual and iteration count.
+
+    Raises TruncationOverflowError when more than _WALL_WEIGHT_TOL of the
+    mode's weight lies in the outer tenth of the grid: the hard wall at
+    r_max then shapes the mode, which is no longer the trapped ground mode.
     """
     if dp.g < 0:
         raise UnsupportedRegimeError(
@@ -150,6 +162,16 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
         iterations += steps
         res = residual_norm(dp, RadialField(grid, values), dp.nbar)
     values = np.maximum(values, 0.0)
+    outer = grid.nodes > 0.9 * grid.r_max
+    wall_weight = 4.0 * np.pi * grid.h * float(
+        np.sum(grid.nodes[outer] ** 2 * values[outer] ** 2)
+    )
+    if wall_weight > _WALL_WEIGHT_TOL:
+        raise TruncationOverflowError(
+            f"the mode keeps {wall_weight:.3g} of its weight beyond "
+            f"0.9 r_max = {0.9 * grid.r_max:g} (tolerance {_WALL_WEIGHT_TOL:g}): "
+            "the hard wall at r_max cuts the cloud; raise r_max"
+        )
     xi0 = RadialField(grid, values)
     return GroundMode(
         xi0=xi0,

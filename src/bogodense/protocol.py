@@ -28,7 +28,7 @@ from .errors import (
     ProtocolInapplicableError,
     TruncationOverflowError,
 )
-from .twomode import build_h01, evolve_exact, fock_state, oscillation_law
+from .twomode import build_h01, fock_state, oscillation_law, propagate
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +162,30 @@ class ProtocolConfig:
 
     def kernel(self, m):
         """Removal probabilities K(M -> M - j), j = 0..M."""
-        if m == 0:
-            return np.ones(1)
-        h = build_h01(self.coeffs, m)
-        evolved = evolve_exact(h, fock_state(m, 0), self.cycle_time)
-        probs = np.abs(evolved.amplitudes) ** 2
-        # Unit-sum measurement probabilities; rescaling removes the
-        # roundoff that would otherwise accumulate over many cycles.
-        return probs / probs.sum()
+        return self.kernels([m])[0]
+
+    def kernels(self, ms):
+        """The kernels of the sectors M in ms, in the order of ms.
+
+        The sectors run in descending M through stacked Chebyshev
+        recursions, each with its own spectral scale and number of terms,
+        so every kernel is the same as when built alone.
+        """
+        ms = [int(m) for m in ms]
+        order = sorted((i for i, m in enumerate(ms) if m > 0), key=lambda i: -ms[i])
+        out = [np.ones(1)] * len(ms)
+        if not order:
+            return out
+        sectors = (
+            (build_h01(self.coeffs, ms[i]), fock_state(ms[i], 0).amplitudes.real)
+            for i in order
+        )
+        for i, (amp, _) in zip(order, propagate(sectors, self.cycle_time)):
+            probs = amp.real**2 + amp.imag**2
+            # Unit-sum measurement probabilities; rescaling removes the
+            # roundoff that would otherwise accumulate over many cycles.
+            out[i] = probs / probs.sum()
+        return out
 
 
 def run_cycle(dist, cfg):
@@ -239,9 +255,10 @@ def run_protocol(init, cfg):
     for i in range(n):
         if i > 0:
             p = dist.probabilities[:size]
-            for m in np.flatnonzero((p > 0) & ~built):
-                k[m::-1, m] = cfg.kernel(int(m))
-                built[m] = True
+            new = np.flatnonzero((p > 0) & ~built)
+            for m, column in zip(new, cfg.kernels(new)):
+                k[m::-1, m] = column
+            built[new] = True
             out = np.zeros(cfg.m_max + 1)
             out[:size] = k @ p
             dist = NumberDistribution(out)

@@ -27,12 +27,21 @@ from .errors import (
     InvalidParameterError,
 )
 
-# Above this size the dense eigenvector matrix gets large (> ~130 MB) and
-# evolution switches to expm_multiply on the sparse band.
+# Up to this size mean_n1_trace samples the cached eigensystem; above it
+# the dense eigenvector matrix gets large (> ~130 MB) and the trace steps
+# the Chebyshev propagator between sorted times.
 _EIG_LIMIT = 4000
 # Samples per block of the spectral trace: a block holds a few
 # (M+1) x _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
 _TRACE_BLOCK = 64
+# Elements per stacked Chebyshev recursion: sectors are packed into vectors
+# of at most this length, so its work arrays stay cache-sized.
+_STACK_LIMIT = 1 << 14
+# The Chebyshev series stops at the first k > z with |J_k(z)| below this;
+# the tail beyond it bounds the truncation error and must stay below
+# _TAIL_TOL.
+_BESSEL_FLOOR = 1e-16
+_TAIL_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -76,6 +85,7 @@ class TwoModeHamiltonian:
 class TwoModeState:
     m_total: int
     amplitudes: np.ndarray
+    error_bound: float = 0.0  # bound on the propagation error in the 2-norm
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -132,31 +142,175 @@ def build_h01(coeffs, m_total):
     return TwoModeHamiltonian(m_total=m, diag=diag, off1=off1, off2=off2)
 
 
-def _expm_multiply_band(h, amp, t):
-    """exp(-iHt) amp by scipy's expm_multiply on the sparse band.
+def _gershgorin(h):
+    """Centre and half-width of an interval that holds the spectrum of h.
 
-    Its Taylor degree and step count follow the a-priori backward-error
-    bound of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), at double
-    precision.  Subtracting the mean diagonal shrinks the norm of t*H, and
-    with it the work; the global phase is restored afterwards.
+    Each eigenvalue lies in a Gershgorin disc: within the sum of a row's
+    off-diagonal magnitudes of that row's diagonal element.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import expm_multiply
+    m = h.m_total
+    radius = np.zeros(m + 1)
+    for off in (np.abs(h.off1), np.abs(h.off2)):
+        radius[: off.size] += off
+        radius[m + 1 - off.size :] += off
+    lo = float(np.min(h.diag - radius))
+    hi = float(np.max(h.diag + radius))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-    shift = float(np.mean(h.diag))
-    band = sparse.diags(
-        [h.off2, h.off1, h.diag - shift, h.off1, h.off2],
-        [-2, -1, 0, 1, 2],
-        format="csr",
-    )
-    return expm_multiply(-1j * t * band, amp) * np.exp(-1j * shift * t)
+
+def _bessel_series(z):
+    """J_k(z) for k = 0..K-1, z >= 0, and the tail 2*sum_{k>=K} |J_k(z)|.
+
+    K is the first k > z with |J_k(z)| < _BESSEL_FLOOR.  The values come
+    from Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1},
+    started far enough above z for the minimal solution to dominate,
+    normalized by J_0^2 + 2*sum J_k^2 = 1 and signed by
+    J_0 + 2*sum J_2k = 1.
+    """
+    if z < 1e-30:
+        return np.ones(1), z
+    n = int(z + 14.0 * z ** (1.0 / 3.0) + 20.0)
+    vals = [0.0] * (n + 1)
+    vals[n] = 1.0
+    above, cur = 0.0, 1.0
+    rescaled = []
+    two_over_z = 2.0 / z
+    for k in range(n, 0, -1):
+        below = k * two_over_z * cur - above
+        if below > 1e150 or below < -1e150:
+            below *= 1e-150
+            cur *= 1e-150
+            rescaled.append(k)
+        vals[k - 1] = below
+        above, cur = cur, below
+    j = np.array(vals)
+    for k in rescaled:
+        j[k:] *= 1e-150
+    j /= np.max(np.abs(j))
+    norm = math.sqrt(j[0] ** 2 + 2.0 * float(np.sum(j[1:] ** 2)))
+    j *= math.copysign(1.0 / norm, j[0] + 2.0 * float(np.sum(j[2::2])))
+    k_min = int(z) + 1
+    small = np.flatnonzero(np.abs(j[k_min:]) < _BESSEL_FLOOR)
+    if small.size == 0:
+        raise IntegratorFailureError(f"Bessel series at z = {z!r} did not decay")
+    k_stop = k_min + int(small[0])
+    return j[:k_stop], 2.0 * float(np.sum(np.abs(j[k_stop:])))
+
+
+def _propagate_block(stack, t):
+    """(exp(-iHt) x, tail) for each (H, real x) pair, in one recursion.
+
+    The sectors sit one after another in one vector, and their banded
+    matrices along the diagonal of one block-banded matrix whose couplings
+    vanish between sectors.  Each sector is scaled to [-1, 1] by its own
+    Gershgorin interval, so it keeps its own z and its own number of terms;
+    the recursion stops updating the trailing sectors once their terms run
+    out.  Element by element the arithmetic does not depend on the other
+    sectors, so a sector's result is the same alone or stacked.
+    """
+    sizes = [h.m_total + 1 for h, _ in stack]
+    ends = np.cumsum(sizes)
+    n = int(ends[-1])
+    # Weights of x[i-2], x[i-1], x[i], x[i+1], x[i+2] in row i of 2*H_s,
+    # H_s = (H - centre)/half-width.
+    w = np.zeros((5, n))
+    x = np.zeros((2, n + 4))  # T_{k-1}, T_k with two zero cells each side
+    phase = np.empty((2, n))
+    coef, tails = [], []
+    for (h, start), end, size in zip(stack, ends, sizes):
+        lo = end - size
+        centre, half = _gershgorin(h)
+        scale = 2.0 / half if half > 0.0 else 0.0
+        w[2, lo:end] = (h.diag - centre) * scale
+        w[1, lo + 1 : end] = w[3, lo : end - 1] = h.off1 * scale
+        w[0, lo + 2 : end] = w[4, lo : end - 2] = h.off2 * scale
+        x[1, lo + 2 : end + 2] = start
+        phase[0, lo:end] = math.cos(centre * t)
+        phase[1, lo:end] = -math.sin(centre * t)
+        # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
+        # with z = half-width * t, and J_k(-z) = (-1)^k J_k(z).
+        j, tail = _bessel_series(half * abs(t))
+        if not tail <= _TAIL_TOL:
+            raise IntegratorFailureError(
+                f"Chebyshev truncation bound {tail:.3e} exceeds {_TAIL_TOL:g}"
+            )
+        tails.append(tail)
+        a = 2.0 * j
+        a[0] = j[0]
+        a[2::4] *= -1.0
+        a[1::4] *= -math.copysign(1.0, t)
+        a[3::4] *= math.copysign(1.0, t)
+        coef.append(a)
+    terms = max(a.size for a in coef)
+    table = np.zeros((terms, len(stack)))
+    active = np.zeros(terms, dtype=int)  # end of the last sector still running
+    for s, (a, end) in enumerate(zip(coef, ends)):
+        table[: a.size, s] = a
+        active[: a.size] = np.maximum(active[: a.size], end)
+    acc = np.zeros((2, n))  # even terms are real, odd terms imaginary
+    tmp = np.empty(n)
+    # The views below are rebuilt only where the active length changes.
+    cuts = [0, *(np.flatnonzero(np.diff(active)) + 1), terms]
+    for first, last in zip(cuts[:-1], cuts[1:]):
+        e = active[first]
+        rows = [b[2 : e + 2] for b in x]
+        shifted = [[b[d : e + d] for d in (0, 1, 3, 4)] for b in x]
+        diag, offs = w[2, :e], [w[d, :e] for d in (0, 1, 3, 4)]
+        buf = tmp[:e]
+        running = sizes[: int(np.searchsorted(ends, e)) + 1]
+        sums = acc[:, :e]
+        for k in range(first, last):
+            # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
+            cur, y = rows[(k + 1) % 2], rows[k % 2]
+            if len(stack) == 1:
+                np.multiply(cur, table[k, 0], out=buf)
+            else:
+                np.multiply(cur, np.repeat(table[k, : len(running)], running), out=buf)
+            sums[k % 2] += buf
+            # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
+            # T_1 = H_s T_0.
+            np.multiply(diag, cur, out=buf)
+            np.subtract(buf, y, out=y)
+            for wd, xd in zip(offs, shifted[(k + 1) % 2]):
+                np.multiply(wd, xd, out=buf)
+                y += buf
+            if k == 0:
+                y *= 0.5
+    re = acc[0] * phase[0] - acc[1] * phase[1]
+    im = acc[0] * phase[1] + acc[1] * phase[0]
+    return [
+        (re[end - size : end] + 1j * im[end - size : end], tail)
+        for end, size, tail in zip(ends, sizes, tails)
+    ]
+
+
+def propagate(sectors, t):
+    """Yield (exp(-iHt) x, tail) for each (H, real x) pair of sectors.
+
+    Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
+    its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
+    start norm.  Consecutive sectors are stacked into recursions of at most
+    _STACK_LIMIT elements (a larger sector runs alone), and only one stack
+    is held at a time.
+    """
+    stack, size = [], 0
+    for h, start in sectors:
+        if stack and size + h.m_total + 1 > _STACK_LIMIT:
+            yield from _propagate_block(stack, t)
+            stack, size = [], 0
+        stack.append((h, start))
+        size += h.m_total + 1
+    if stack:
+        yield from _propagate_block(stack, t)
 
 
 def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
-    Up to M = _EIG_LIMIT the cached banded eigensystem propagates exactly;
-    above it expm_multiply acts on the band.
+    The Chebyshev propagator acts on the band at every size; a complex
+    state runs its real and imaginary parts through one stacked recursion.
+    The state's error_bound grows by the truncation bound of the series.
     """
     if s0.m_total != h.m_total:
         raise InvalidParameterError(
@@ -167,18 +321,14 @@ def evolve_exact(h, s0, t):
     if t == 0.0:
         return s0
     amp = s0.amplitudes
-    if h.m_total <= _EIG_LIMIT:
-        # Real GEMVs on the split parts: a complex operand would make numpy
-        # copy v to complex on each product.
-        w, v = h.eigensystem()
-        c = np.exp(-1j * w * t) * (v.T @ amp.real + 1j * (v.T @ amp.imag))
-        amp = v @ c.real + 1j * (v @ c.imag)
-    else:
-        amp = _expm_multiply_band(h, amp, t)
+    parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
+    out = list(propagate([(h, part) for part in parts], t))
+    amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
     if drift > 1e-6:
         raise IntegratorFailureError(f"norm drift {drift:.3e} exceeds 1e-6")
-    return TwoModeState(m_total=h.m_total, amplitudes=amp)
+    bound = s0.error_bound + sum(tail for _, tail in out)
+    return TwoModeState(m_total=h.m_total, amplitudes=amp, error_bound=bound)
 
 
 def mean_n1(s):

@@ -176,6 +176,18 @@ def test_ground_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_ground_rejects_a_grid_inside_the_cloud(capsys):
+    # These grids end inside the cloud (Thomas-Fermi radius about 2.3):
+    # the solve converged to the hard-wall mode of the box and printed
+    # mu = 131.7 (r_max = 0.5) and 4.22 (r_max = 2) against 2.71.
+    for r_max in ("0.5", "2"):
+        assert main(["ground", *FAST, "--r-max", r_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [truncation-overflow]:")
+        assert "r_max" in captured.err
+
+
 def test_sidecar_name_avoids_clobbering_json_output(tmp_path):
     out = tmp_path / "data.json"
     assert main(["ground", *FAST, "--output", str(out)]) == 0
@@ -275,6 +287,29 @@ def test_output_bytes_independent_of_thread_count():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].split(b"\n")[1] == b"0,0,0"
+
+
+def test_thread_cap_after_numpy_import_warns():
+    # BOGODENSE_THREADS only caps the pools when bogodense loads before
+    # numpy; after numpy the import warns on stderr and prints nothing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def run(code, cap):
+        run_env = dict(env, BOGODENSE_THREADS=cap) if cap else env
+        return subprocess.run(
+            [sys.executable, "-c", code], env=run_env, capture_output=True, check=True
+        )
+
+    late = run("import numpy, bogodense", "1")
+    assert late.stdout == b""
+    assert b"RuntimeWarning" in late.stderr and b"BOGODENSE_THREADS" in late.stderr
+    for code, cap in (("import bogodense", "1"), ("import numpy, bogodense", None)):
+        proc = run(code, cap)
+        assert proc.stdout == b"" and proc.stderr == b""
 
 
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):

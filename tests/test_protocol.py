@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+import bogodense.twomode as twomode
 from bogodense import (
     InvalidParameterError,
     NumberDistribution,
@@ -128,6 +129,29 @@ def test_kernel_rows_are_probabilities(cfg100):
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_batched_kernels_equal_single_sector_kernels(cfg100, monkeypatch):
+    # Any order in, the same order out, and each column is the kernel of
+    # that sector built alone, bit for bit.
+    ms = [2, 115, 0, 1, 57]
+    for m, column in zip(ms, cfg100.kernels(ms)):
+        assert np.array_equal(column, cfg100.kernel(m))
+    # A small stack limit splits 0..40 over many stacked recursions, so
+    # most sectors sit at the first or last place of a stack.
+    stacks = []
+    propagate_block = twomode._propagate_block
+
+    def recorded(stack, t):
+        stacks.append([h.m_total for h, _ in stack])
+        return propagate_block(stack, t)
+
+    monkeypatch.setattr(twomode, "_propagate_block", recorded)
+    monkeypatch.setattr(twomode, "_STACK_LIMIT", 100)
+    batched = cfg100.kernels(range(41))
+    assert stacks[0] == [40, 39] and stacks[-1] == [5, 4, 3, 2, 1]
+    for m, column in enumerate(batched):
+        assert np.array_equal(column, cfg100.kernel(m))
+
+
 # ---------------------------------------------------------------- single cycles
 
 
@@ -232,14 +256,15 @@ def test_matrix_iteration_matches_per_state_loop(cfg100):
 
 
 def test_each_kernel_is_built_once(case100, monkeypatch):
+    # Each cycle builds the columns it needs in one batched call.
     calls = []
-    kernel = ProtocolConfig.kernel
+    kernels = ProtocolConfig.kernels
 
-    def counted(cfg, m):
-        calls.append(m)
-        return kernel(cfg, m)
+    def counted(cfg, ms):
+        calls.extend(int(m) for m in ms)
+        return kernels(cfg, ms)
 
-    monkeypatch.setattr(ProtocolConfig, "kernel", counted)
+    monkeypatch.setattr(ProtocolConfig, "kernels", counted)
     cfg = ProtocolConfig(n0=100.0, coeffs=case100["coeffs"], cycles=3, m_max=130)
     run_protocol(two_point_distribution(80, 120, m_max=130), cfg)
     # Three cycles from 80/120 reach every M in 0..120.

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogodense.twomode as twomode
 from bogodense import (
@@ -128,31 +130,38 @@ def test_diagonal_hamiltonian_preserves_occupations():
     assert np.abs(out.amplitudes) == pytest.approx(np.abs(amps), abs=1e-12)
 
 
-def test_norm_conservation_both_paths(case1000, monkeypatch):
+def _spectral_amplitudes(h, t):
+    """exp(-iHt)|M,0> from the banded eigensystem, the trace's path."""
+    w, v = h.eigensystem()
+    return v @ (np.exp(-1j * w * t) * v[0])
+
+
+def test_norm_conservation_both_paths(case1000):
     co = case1000["coeffs"]
     h = build_h01(co, 1000)
     law = oscillation_law(co, 1000)
     t = 2.0 * math.pi / law.omega_prime
-    s_eig = evolve_exact(h, fock_state(1000, 0), t)
-    assert abs(np.sum(np.abs(s_eig.amplitudes) ** 2) - 1.0) < 1e-10
-    monkeypatch.setattr(twomode, "_EIG_LIMIT", 500)
-    s_big = evolve_exact(h, fock_state(1000, 0), t)
-    assert abs(np.sum(np.abs(s_big.amplitudes) ** 2) - 1.0) < 1e-10
+    amp_eig = _spectral_amplitudes(h, t)
+    assert abs(np.sum(np.abs(amp_eig) ** 2) - 1.0) < 1e-10
+    s_cheb = evolve_exact(h, fock_state(1000, 0), t)
+    assert abs(np.sum(np.abs(s_cheb.amplitudes) ** 2) - 1.0) < 1e-10
     # total-number bookkeeping: <n0> + <n1> = M
     n = np.arange(1001.0)
-    prob = np.abs(s_eig.amplitudes) ** 2
+    prob = np.abs(s_cheb.amplitudes) ** 2
     total = float(np.sum((1000.0 - n) * prob) + np.sum(n * prob))
     assert abs(total - 1000.0) < 1e-8
 
 
 def test_spectral_evolution_keeps_eigenvectors_real(case1000):
     # A complex operand would make numpy copy the 8 MB real eigenvector
-    # matrix to a 16 MB complex one on each product.
+    # matrix to a 16 MB complex one on each product of the spectral trace;
+    # the Chebyshev propagator holds a few vectors of M + 1 numbers.
     h = build_h01(case1000["coeffs"], 1000)
     h.eigensystem()
     s0 = fock_state(1000, 0)
     tracemalloc.start()
     try:
+        mean_n1_trace(h, s0, np.linspace(0.0, 0.3, 8))
         evolve_exact(h, s0, 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -160,24 +169,49 @@ def test_spectral_evolution_keeps_eigenvectors_real(case1000):
     assert peak < 1 << 20
 
 
-def test_large_branch_matches_eigensolution(case100, monkeypatch):
+def test_large_branch_matches_eigensolution(case100):
     co = case100["coeffs"]
     h = build_h01(co, 120)
     law = oscillation_law(co, 120)
     t = math.pi / law.omega_prime
-    exact = evolve_exact(h, fock_state(120, 0), t)
-    monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
     big = evolve_exact(h, fock_state(120, 0), t)
-    assert np.max(np.abs(big.amplitudes - exact.amplitudes)) < 1e-10
+    assert np.max(np.abs(big.amplitudes - _spectral_amplitudes(h, t))) < 1e-10
+    # The truncation bound of the series travels with the state.
+    assert 0.0 < big.error_bound < 1e-14
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    gamma=st.floats(0.0, 0.05),
+    mu=st.floats(-3.0, 3.0),
+    mu1=st.floats(-3.0, 3.0),
+    g01=st.floats(-0.05, 0.05),
+    alpha2=st.floats(0.01, 0.5),
+    nbar=st.floats(0.0, 60.0),
+    t=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_matches_dense_eigh(m, gamma, mu, mu1, g01, alpha2, nbar, t, seed):
+    co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
+    h = build_h01(co, m)
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    amp /= np.linalg.norm(amp)
+    w, v = np.linalg.eigh(h.to_dense())
+    want = v @ (np.exp(-1j * w * t) * (v.T @ amp))
+    got = evolve_exact(h, TwoModeState(m, amp), t).amplitudes
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_large_dimension_matches_dense_eigensolution():
     # Above the eigensolver limit a step-count heuristic once returned
-    # <n1> = 565.5 for this case.  Reference-trap coefficients at
-    # nbar = 1e4 (oracles.solve_case(1e4), pinned to full precision),
-    # M = 5000, start |M,0>, t = pi/w'(1e4).  The pinned <n1> comes from a
-    # one-off dense solve of the same Hamiltonian: scipy.linalg.eig_banded
-    # on h.to_banded_lower() for all 5001 eigenpairs (w, v), amplitudes
+    # <n1> = 565.5 for this case; the Chebyshev series takes about 21800
+    # terms.  Reference-trap coefficients at nbar = 1e4
+    # (oracles.solve_case(1e4), pinned to full precision), M = 5000, start
+    # |M,0>, t = pi/w'(1e4).  The pinned <n1> comes from a one-off dense
+    # solve of the same Hamiltonian: scipy.linalg.eig_banded on
+    # h.to_banded_lower() for all 5001 eigenpairs (w, v), amplitudes
     # v @ (exp(-i w t) * v[0]), <n1> = sum_n n |amp_n|^2.
     co = CouplingCoefficients(
         alpha2=0.002197847795460061,
@@ -204,6 +238,7 @@ def test_trace_fallback_path_matches(case100, monkeypatch):
     idx = np.random.default_rng(1).permutation(times.size)
     shuffled = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times[idx])
     assert np.max(np.abs(shuffled - ref[idx])) == 0.0
+    # Above the limit the trace steps the Chebyshev propagator.
     monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
     alt = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times)
     assert np.max(np.abs(ref - alt)) < 1e-10
