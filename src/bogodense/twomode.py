@@ -25,6 +25,7 @@ from .errors import (
     InapplicableLawError,
     IntegratorFailureError,
     InvalidParameterError,
+    UnsupportedRegimeError,
 )
 
 # Up to this size mean_n1_trace samples the cached eigensystem; above it
@@ -42,6 +43,10 @@ _STACK_LIMIT = 1 << 14
 # _TAIL_TOL.
 _BESSEL_FLOOR = 1e-16
 _TAIL_TOL = 1e-12
+# One series takes about z = half-width * |t| terms and holds that many
+# coefficients; a longer one is refused, and evolve_exact splits its time
+# into equal steps of at most half that.
+_Z_MAX = 1e6
 
 
 @dataclass(eq=False)
@@ -169,6 +174,10 @@ def _bessel_series(z):
     """
     if z < 1e-30:
         return np.ones(1), z
+    if z > _Z_MAX:
+        raise UnsupportedRegimeError(
+            f"a Chebyshev series at z = {z:.3g} needs more than {_Z_MAX:g} terms"
+        )
     n = int(z + 14.0 * z ** (1.0 / 3.0) + 20.0)
     vals = [0.0] * (n + 1)
     vals[n] = 1.0
@@ -308,9 +317,10 @@ def propagate(sectors, t):
 def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
-    The Chebyshev propagator acts on the band at every size; a complex
-    state runs its real and imaginary parts through one stacked recursion.
-    The state's error_bound grows by the truncation bound of the series.
+    The Chebyshev propagator acts on the band at every size, in equal
+    steps of at most _Z_MAX / 2 terms each; a complex state runs its real
+    and imaginary parts through one stacked recursion.  The state's
+    error_bound grows by the truncation bound of each series.
     """
     if s0.m_total != h.m_total:
         raise InvalidParameterError(
@@ -320,14 +330,16 @@ def evolve_exact(h, s0, t):
         raise InvalidParameterError(f"time must be finite, got {t}")
     if t == 0.0:
         return s0
-    amp = s0.amplitudes
-    parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
-    out = list(propagate([(h, part) for part in parts], t))
-    amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
+    amp, bound = s0.amplitudes, s0.error_bound
+    steps = max(1, math.ceil(_gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)))
+    for _ in range(steps):
+        parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
+        out = list(propagate([(h, part) for part in parts], t / steps))
+        amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
+        bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
     if drift > 1e-6:
         raise IntegratorFailureError(f"norm drift {drift:.3e} exceeds 1e-6")
-    bound = s0.error_bound + sum(tail for _, tail in out)
     return TwoModeState(m_total=h.m_total, amplitudes=amp, error_bound=bound)
 
 

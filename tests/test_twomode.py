@@ -19,7 +19,11 @@ from bogodense import (
     mean_n1_trace,
     oscillation_law,
 )
-from bogodense.errors import InapplicableLawError, InvalidParameterError
+from bogodense.errors import (
+    InapplicableLawError,
+    InvalidParameterError,
+    UnsupportedRegimeError,
+)
 
 from oracles import dense_h01_oracle, synthetic_coeffs
 
@@ -202,6 +206,21 @@ def test_chebyshev_matches_dense_eigh(m, gamma, mu, mu1, g01, alpha2, nbar, t, s
     want = v @ (np.exp(-1j * w * t) * (v.T @ amp))
     got = evolve_exact(h, TwoModeState(m, amp), t).amplitudes
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_long_times_run_in_steps(monkeypatch):
+    # A series holds about z = half-width * |t| coefficients: past _Z_MAX
+    # one series is refused, and evolve_exact splits its time instead.
+    h = build_h01(GENERIC, 30)
+    amp = np.exp(1j * np.arange(31.0)) / math.sqrt(31.0)
+    t = -7.3
+    w, v = np.linalg.eigh(h.to_dense())
+    want = v @ (np.exp(-1j * w * t) * (v.T @ amp))
+    monkeypatch.setattr(twomode, "_Z_MAX", 400.0)
+    with pytest.raises(UnsupportedRegimeError):
+        list(twomode.propagate([(h, amp.real)], t))
+    got = evolve_exact(h, TwoModeState(30, amp), t)
+    assert np.max(np.abs(got.amplitudes - want)) < 1e-10
 
 
 def test_large_dimension_matches_dense_eigensolution():
