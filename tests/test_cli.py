@@ -294,8 +294,8 @@ def test_thread_cap_after_numpy_import_warns():
     # numpy; after numpy the import warns on stderr and prints nothing.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
     def run(code, cap):
