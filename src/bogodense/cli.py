@@ -413,6 +413,10 @@ def _initial_distribution(spec, n0, m_max):
         raise ConfigError(f"malformed --init spec {spec!r}") from None
     if m_max is None:
         m_max = support
+    if m_max < 1:
+        raise ConfigError(
+            f"protocol cap m_max = {m_max} must be >= 1 (from --m-max or --init)"
+        )
     if m_max > _EIG_LIMIT:
         raise UnsupportedRegimeError(
             f"protocol cap m_max = {m_max} exceeds the exact-evolution limit "

@@ -28,6 +28,8 @@ _METHODS = ("numeric", "thomas_fermi", "gaussian")
 # A ground mode may keep at most this weight in the outer tenth of the
 # grid; more means the hard wall at r_max cuts the cloud.
 _WALL_WEIGHT_TOL = 1e-8
+# Imaginary-time step of solve_gpe; backward Euler is stable at any step.
+_DTAU = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +114,7 @@ def _initial_guess(dp, grid):
     return values / math.sqrt(norm)
 
 
-def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
+def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     """Imaginary-time ground-state solve.
 
     Parameters
@@ -125,9 +127,6 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
     max_iter : int
         Iteration budget; exceeding it raises a convergence error carrying
         the last residual.
-    dtau : float
-        Imaginary-time step (stable for any positive value; larger is
-        faster until the nonlinear lag dominates).
 
     Returns
     -------
@@ -158,7 +157,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000, dtau=0.02):
             )
         steps = min(10, max_iter - iterations)
         for _ in range(steps):
-            values = imaginary_time_step(dp, grid, values, dp.nbar, dtau)
+            values = imaginary_time_step(dp, grid, values, dp.nbar, _DTAU)
         iterations += steps
         res = residual_norm(dp, RadialField(grid, values), dp.nbar)
     values = np.maximum(values, 0.0)

@@ -28,7 +28,28 @@ from .errors import (
     ProtocolInapplicableError,
     TruncationOverflowError,
 )
-from .twomode import build_h01, fock_state, oscillation_law, propagate
+from .twomode import build_h01, oscillation_law, propagate
+
+
+def _certify(probs, where="probabilities"):
+    """Raise unless probs is non-negative (to 1e-12) and sums to 1 (to 1e-9)."""
+    if not np.min(probs) >= -1e-12:
+        raise InvalidParameterError(f"{where} must be non-negative")
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidParameterError(f"{where} sum to {total!r}, expected 1")
+
+
+def _band(lo, hi, m_max):
+    """The slice of integers lo <= M <= hi within 0..m_max (may be empty)."""
+    lo = max(0, int(math.ceil(lo)))
+    hi = min(m_max, int(math.floor(hi)))
+    return slice(lo, max(lo, hi + 1))
+
+
+def _retained_and_lost(n0):
+    """(lo, hi) of the retained band around n0 and of the lost band near M = 0."""
+    return (0.9 * n0, 1.1 * n0), (0, 0.1 * n0 - 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +62,7 @@ class NumberDistribution:
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise InvalidParameterError("probabilities must be a 1-d array")
-        if np.min(probs) < -1e-12:
-            raise InvalidParameterError("probabilities must be non-negative")
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidParameterError(f"probabilities sum to {total!r}, expected 1")
+        _certify(probs)
         object.__setattr__(self, "probabilities", np.maximum(probs, 0.0))
 
     @property
@@ -68,23 +85,16 @@ class NumberDistribution:
 
     def mass_in(self, lo, hi):
         """Probability of lo <= M <= hi."""
-        lo = max(0, int(math.ceil(lo)))
-        hi = min(self.m_max, int(math.floor(hi)))
-        if hi < lo:
-            return 0.0
-        return float(np.sum(self.probabilities[lo : hi + 1]))
+        return float(np.sum(self.probabilities[_band(lo, hi, self.m_max)]))
 
     def conditional_variance(self, lo, hi):
         """Variance of M restricted to the band [lo, hi]; nan for empty mass."""
-        lo = max(0, int(math.ceil(lo)))
-        hi = min(self.m_max, int(math.floor(hi)))
-        if hi < lo:
-            return float("nan")
-        probs = self.probabilities[lo : hi + 1]
+        band = _band(lo, hi, self.m_max)
+        probs = self.probabilities[band]
         mass = probs.sum()
         if mass <= 0:
             return float("nan")
-        m = np.arange(lo, hi + 1)
+        m = np.arange(band.start, band.stop)
         mu = np.sum(m * probs) / mass
         return float(np.sum((m - mu) ** 2 * probs) / mass)
 
@@ -144,7 +154,7 @@ class ProtocolConfig:
             raise InvalidParameterError(f"cycles must be >= 1, got {self.cycles}")
         if self.m_max < 1:
             raise InvalidParameterError(f"m_max must be >= 1, got {self.m_max}")
-        if abs(self.coeffs.nbar - self.n0) > 1e-6 * max(1.0, abs(self.n0)):
+        if not abs(self.coeffs.nbar - self.n0) <= 1e-6 * max(1.0, abs(self.n0)):
             raise InvalidParameterError(
                 f"coefficients were built at nbar = {self.coeffs.nbar}, "
                 f"protocol working point is n0 = {self.n0}"
@@ -176,10 +186,9 @@ class ProtocolConfig:
         out = [np.ones(1)] * len(ms)
         if not order:
             return out
-        sectors = (
-            (build_h01(self.coeffs, ms[i]), fock_state(ms[i], 0).amplitudes.real)
-            for i in order
-        )
+        # Each sector starts from |M, 0>, the unit vector at n1 = 0.
+        starts = (np.eye(1, ms[i] + 1)[0] for i in order)
+        sectors = zip((build_h01(self.coeffs, ms[i]) for i in order), starts)
         for i, (amp, _) in zip(order, propagate(sectors, self.cycle_time)):
             probs = amp.real**2 + amp.imag**2
             # Unit-sum measurement probabilities; rescaling removes the
@@ -197,8 +206,7 @@ def run_cycle(dist, cfg):
 class ProtocolResult:
     """Per-cycle trajectory (index 0 is the initial state) and final state.
 
-    retained_mass tracks the band [0.9 n0, 1.1 n0]; lost_mass tracks
-    M < 0.1 n0.
+    retained_mass and lost_mass track the bands of _retained_and_lost(n0).
     """
 
     final: NumberDistribution
@@ -215,60 +223,52 @@ class ProtocolResult:
         return self.means.size - 1
 
     def summary(self):
-        band_lo, band_hi = 0.9 * self.n0, 1.1 * self.n0
+        retained_band, _ = _retained_and_lost(self.n0)
         return {
             "cycles": int(self.cycles),
             "cycle_time": self.cycle_time,
             "final_mean": self.means[-1],
             "final_variance": self.variances[-1],
-            "retained_mass": self.final.mass_in(band_lo, band_hi),
-            "lost_mass": self.final.mass_in(0, 0.1 * self.n0 - 1e-12),
-            "retained_variance": self.final.conditional_variance(band_lo, band_hi),
+            "retained_mass": self.retained_mass[-1],
+            "lost_mass": self.lost_mass[-1],
+            "retained_variance": self.final.conditional_variance(*retained_band),
             "removed_total": np.cumsum(self.removed)[-1],
         }
 
 
 def run_protocol(init, cfg):
-    """Iterate the removal cycle as K @ p, tracking the trajectory statistics."""
+    """Iterate p <- K @ p in place, certifying sign and mass once per cycle."""
     if init.support_max > cfg.m_max:
         raise TruncationOverflowError(
             f"initial support reaches {init.support_max}, "
             f"exceeding the cap {cfg.m_max}"
         )
-    probs = np.zeros(cfg.m_max + 1)
-    src = init.probabilities[: cfg.m_max + 1]
-    probs[: src.size] = src
-    dist = NumberDistribution(probs)
     # Column m of the lower-triangular K is the kernel of M = m, built the
     # first time M = m carries probability.  Probability only moves down,
     # so K never needs rows or columns above the initial support.
-    size = dist.support_max + 1
+    size = init.support_max + 1
+    p = np.zeros(cfg.m_max + 1)
+    p[:size] = init.probabilities[:size]
     k = np.zeros((size, size))
     built = np.zeros(size, dtype=bool)
-    band_lo, band_hi = 0.9 * cfg.n0, 1.1 * cfg.n0
-    n = cfg.cycles + 1
-    means = np.empty(n)
-    variances = np.empty(n)
-    retained = np.empty(n)
-    lost = np.empty(n)
-    removed = np.zeros(n)
-    for i in range(n):
+    m = np.arange(cfg.m_max + 1)
+    kept, gone = (_band(lo, hi, cfg.m_max) for lo, hi in _retained_and_lost(cfg.n0))
+    means, variances, retained, lost = (np.empty(cfg.cycles + 1) for _ in range(4))
+    for i in range(cfg.cycles + 1):
         if i > 0:
-            p = dist.probabilities[:size]
-            new = np.flatnonzero((p > 0) & ~built)
-            for m, column in zip(new, cfg.kernels(new)):
-                k[m::-1, m] = column
+            new = np.flatnonzero((p[:size] > 0) & ~built)
+            for j, column in zip(new, cfg.kernels(new)):
+                k[j::-1, j] = column
             built[new] = True
-            out = np.zeros(cfg.m_max + 1)
-            out[:size] = k @ p
-            dist = NumberDistribution(out)
-            removed[i] = means[i - 1] - dist.mean()
-        means[i] = dist.mean()
-        variances[i] = dist.variance()
-        retained[i] = dist.mass_in(band_lo, band_hi)
-        lost[i] = dist.mass_in(0, 0.1 * cfg.n0 - 1e-12)
+            p[:size] = k @ p[:size]
+            _certify(p, f"cycle {i}: probabilities")
+        means[i] = np.sum(m * p)
+        variances[i] = np.sum((m - means[i]) ** 2 * p)
+        retained[i] = np.sum(p[kept])
+        lost[i] = np.sum(p[gone])
+    removed = np.concatenate(([0.0], means[:-1] - means[1:]))
     return ProtocolResult(
-        final=dist,
+        final=NumberDistribution(p),
         means=means,
         variances=variances,
         retained_mass=retained,

@@ -49,13 +49,34 @@ _TAIL_TOL = 1e-12
 _Z_MAX = 1e6
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TwoModeHamiltonian:
+    """The band of H at total number M, checked once and read-only.
+
+    The eigensystem is computed on the first eigensystem() call and cached
+    in _eig; the fields cannot change, so the cache cannot go stale.
+    """
+
     m_total: int
     diag: np.ndarray  # <n|H|n>, length M+1
     off1: np.ndarray  # <n+1|H|n>, length M
     off2: np.ndarray  # <n+2|H|n>, length M-1
-    _eig: tuple = field(default=None, repr=False)
+    _eig: tuple = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        m = self.m_total
+        if m < 1:
+            raise InvalidParameterError(f"m_total must be >= 1, got {m}")
+        for name, size in (("diag", m + 1), ("off1", m), ("off2", m - 1)):
+            band = np.array(getattr(self, name), dtype=float)
+            if band.shape != (size,):
+                raise InvalidParameterError(
+                    f"{name} needs {size} entries at M = {m}, got shape {band.shape}"
+                )
+            if not np.all(np.isfinite(band)):
+                raise InvalidParameterError(f"{name} has non-finite entries at M = {m}")
+            band.flags.writeable = False
+            object.__setattr__(self, name, band)
 
     def to_banded_lower(self):
         """Lower-banded storage (3, M+1) as used by scipy.linalg.eig_banded."""
@@ -81,8 +102,9 @@ class TwoModeHamiltonian:
 
     def eigensystem(self):
         if self._eig is None:
-            w, v = eig_banded(self.to_banded_lower(), lower=True)
-            self._eig = (w, v)
+            object.__setattr__(
+                self, "_eig", eig_banded(self.to_banded_lower(), lower=True)
+            )
         return self._eig
 
 
@@ -99,7 +121,7 @@ class TwoModeState:
                 f"state needs {self.m_total + 1} amplitudes, got {amp.shape}"
             )
         norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise InvalidParameterError(f"state norm^2 = {norm!r}, expected 1")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -124,8 +146,6 @@ def build_h01(coeffs, m_total):
       off2[n]  = (gamma/2)*sqrt((n+1)*(n+2)*(M-n)*(M-n-1))
     """
     m = int(m_total)
-    if m < 1:
-        raise InvalidParameterError(f"m_total must be >= 1, got {m_total}")
     nbar = coeffs.nbar
     ga2 = coeffs.g_alpha2
     n = np.arange(m + 1, dtype=float)
@@ -338,7 +358,7 @@ def evolve_exact(h, s0, t):
         amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
         bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise IntegratorFailureError(f"norm drift {drift:.3e} exceeds 1e-6")
     return TwoModeState(m_total=h.m_total, amplitudes=amp, error_bound=bound)
 

@@ -1,8 +1,14 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 import oracles
+
+# Property tests run a fixed sequence of examples: no random seed, no
+# wall-clock deadline and no example database carried between runs.
+settings.register_profile("bogodense", derandomize=True, deadline=None, database=None)
+settings.load_profile("bogodense")
 
 
 @pytest.fixture(scope="session")

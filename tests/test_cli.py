@@ -113,6 +113,9 @@ def test_option_errors_reported_before_solve(monkeypatch, capsys):
         (["protocol", "--init", "gaussian:inf,4"], "config"),
         (["protocol", "--cycles", "0", "--init", "point:90"], "config"),
         (["bdg", "--num-modes", "0"], "config"),
+        (["protocol", "--m-max", "0"], "config"),
+        (["protocol", "--init", "point:0"], "config"),
+        (["protocol", "--m-max", "-3"], "config"),
     ]
     for argv, category in cases:
         assert main(argv[:1] + FAST + argv[1:]) == 1, argv

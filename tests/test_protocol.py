@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogodense.twomode as twomode
 from bogodense import (
@@ -89,6 +91,11 @@ def test_distribution_validation():
         two_point_distribution(80, 120, m_max=100)
     with pytest.raises(InvalidParameterError, match="-5 outside 0..120"):
         two_point_distribution(-5, 120)
+    # NaN fails the certificate instead of slipping through it.
+    with pytest.raises(InvalidParameterError):
+        NumberDistribution(np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidParameterError):
+        gaussian_distribution(np.nan, 1.0, m_max=10)  # all-NaN probabilities
 
 
 # ---------------------------------------------------------------- configuration
@@ -253,6 +260,55 @@ def test_matrix_iteration_matches_per_state_loop(cfg100):
         p = out
     # Reordered sums of at most 116 unit-bounded terms per cycle.
     assert np.max(np.abs(res.final.probabilities - p)) < 5 * 116 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def kernels100(cfg100):
+    return [cfg100.kernel(m) for m in range(116)]
+
+
+@settings(max_examples=25)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=116, max_size=116),
+    anchor=st.integers(0, 115),
+    cycles=st.integers(1, 30),
+)
+def test_random_starts_conserve_mass_and_match_kernel_scatter(
+    cfg100, kernels100, weights, anchor, cycles
+):
+    p = np.array(weights)
+    p[anchor] += 1.0
+    init = NumberDistribution(p / p.sum())
+    res = run_protocol(init, replace(cfg100, cycles=cycles))
+    assert abs(res.final.probabilities.sum() - 1.0) <= 1e-9
+    assert np.all(np.diff(res.means) <= 1e-9 * cfg100.n0)
+    # Reference: scatter each occupied M's kernel, one cycle at a time.
+    tol = 5 * 116 * np.finfo(float).eps
+    m = np.arange(116)
+    ref = init.probabilities
+    for i in range(cycles + 1):
+        if i > 0:
+            out = np.zeros_like(ref)
+            for j in np.flatnonzero(ref):
+                out[j::-1] += ref[j] * kernels100[j]
+            ref = out
+        # Means weigh each probability by M <= 115; the bands at n0 = 100
+        # are [90, 110] and M < 10.
+        assert abs(res.means[i] - m @ ref) <= tol * 115
+        assert abs(res.retained_mass[i] - ref[(m >= 90) & (m <= 110)].sum()) <= tol
+        assert abs(res.lost_mass[i] - ref[m < 10].sum()) <= tol
+    assert np.max(np.abs(res.final.probabilities - ref)) <= tol
+
+
+def test_cycle_certificate_rejects_a_kernel_that_gains_mass(cfg100, monkeypatch):
+    kernels = ProtocolConfig.kernels
+
+    def inflated(cfg, ms):
+        return [column * (1.0 + 1e-6) for column in kernels(cfg, ms)]
+
+    monkeypatch.setattr(ProtocolConfig, "kernels", inflated)
+    with pytest.raises(InvalidParameterError, match="cycle 1"):
+        run_protocol(point_distribution(95, m_max=115), cfg100)
 
 
 def test_each_kernel_is_built_once(case100, monkeypatch):

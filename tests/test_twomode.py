@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import bogodense.twomode as twomode
 from bogodense import (
     CouplingCoefficients,
+    ProtocolConfig,
+    TwoModeHamiltonian,
     TwoModeState,
     build_h01,
     dominant_frequency,
@@ -99,6 +102,38 @@ def test_state_validation():
         TwoModeState(m_total=3, amplitudes=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidParameterError):
         fock_state(4, n1=5)
+    with pytest.raises(InvalidParameterError):
+        TwoModeState(m_total=1, amplitudes=np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "bad", [{"gamma": math.nan}, {"mu": math.inf}, {"g01": math.nan}]
+)
+def test_non_finite_coefficients_rejected(bad):
+    # The band is checked once when the Hamiltonian is built, so neither
+    # the propagator, the trace nor the protocol kernels ever see it.
+    co = replace(GENERIC, **bad)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            build_h01(co, 8)
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            ProtocolConfig(n0=2.6, coeffs=co, cycles=1, m_max=8).kernel(5)
+
+
+def test_hamiltonian_is_a_checked_frozen_value():
+    h = build_h01(GENERIC, 6)
+    with pytest.raises(FrozenInstanceError):
+        h.diag = np.zeros(7)
+    with pytest.raises(ValueError):
+        h.off1[0] = 1.0  # the band is read-only
+    with pytest.raises(TypeError):
+        TwoModeHamiltonian(6, h.diag, h.off1, h.off2, _eig=None)
+    assert h.eigensystem() is h.eigensystem()
+    # Band lengths must be M+1, M and M-1, and M at least 1.
+    with pytest.raises(InvalidParameterError, match="off2 needs 5"):
+        TwoModeHamiltonian(6, h.diag, h.off1, h.off2[:-1])
+    with pytest.raises(InvalidParameterError):
+        TwoModeHamiltonian(0, np.zeros(1), np.zeros(0), np.zeros(0))
 
 
 def test_mean_n1_reference_states():
