@@ -181,6 +181,10 @@ class ProtocolConfig:
         recursions, each with its own spectral scale and number of terms,
         so every kernel is the same as when built alone.
         """
+        ms = list(ms)
+        for m in ms:
+            if not (m >= 0 and float(m).is_integer()):
+                raise InvalidParameterError(f"sector M = {m!r} is not an integer >= 0")
         ms = [int(m) for m in ms]
         order = sorted((i for i, m in enumerate(ms) if m > 0), key=lambda i: -ms[i])
         out = [np.ones(1)] * len(ms)

@@ -233,9 +233,9 @@ def _propagate_block(stack, t):
     matrices along the diagonal of one block-banded matrix whose couplings
     vanish between sectors.  Each sector is scaled to [-1, 1] by its own
     Gershgorin interval, so it keeps its own z and its own number of terms;
-    the recursion stops updating the trailing sectors once their terms run
-    out.  Element by element the arithmetic does not depend on the other
-    sectors, so a sector's result is the same alone or stacked.
+    past them its coefficients are zero.  Element by element the arithmetic
+    does not depend on the other sectors, so a sector's result is the same
+    alone or stacked.
     """
     sizes = [h.m_total + 1 for h, _ in stack]
     ends = np.cumsum(sizes)
@@ -244,8 +244,7 @@ def _propagate_block(stack, t):
     # H_s = (H - centre)/half-width.
     w = np.zeros((5, n))
     x = np.zeros((2, n + 4))  # T_{k-1}, T_k with two zero cells each side
-    phase = np.empty((2, n))
-    coef, tails = [], []
+    coef, tails, turns = [], [], []
     for (h, start), end, size in zip(stack, ends, sizes):
         lo = end - size
         centre, half = _gershgorin(h)
@@ -254,8 +253,7 @@ def _propagate_block(stack, t):
         w[1, lo + 1 : end] = w[3, lo : end - 1] = h.off1 * scale
         w[0, lo + 2 : end] = w[4, lo : end - 2] = h.off2 * scale
         x[1, lo + 2 : end + 2] = start
-        phase[0, lo:end] = math.cos(centre * t)
-        phase[1, lo:end] = -math.sin(centre * t)
+        turns.append((math.cos(centre * t), -math.sin(centre * t)))
         # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
         # with z = half-width * t, and J_k(-z) = (-1)^k J_k(z).
         j, tail = _bessel_series(half * abs(t))
@@ -270,47 +268,36 @@ def _propagate_block(stack, t):
         a[1::4] *= -math.copysign(1.0, t)
         a[3::4] *= math.copysign(1.0, t)
         coef.append(a)
-    terms = max(a.size for a in coef)
-    table = np.zeros((terms, len(stack)))
-    active = np.zeros(terms, dtype=int)  # end of the last sector still running
-    for s, (a, end) in enumerate(zip(coef, ends)):
-        table[: a.size, s] = a
-        active[: a.size] = np.maximum(active[: a.size], end)
+    table = np.zeros((max(a.size for a in coef), len(stack)))
+    for i, a in enumerate(coef):
+        table[: a.size, i] = a
     acc = np.zeros((2, n))  # even terms are real, odd terms imaginary
-    tmp = np.empty(n)
-    # The views below are rebuilt only where the active length changes.
-    cuts = [0, *(np.flatnonzero(np.diff(active)) + 1), terms]
-    for first, last in zip(cuts[:-1], cuts[1:]):
-        e = active[first]
-        rows = [b[2 : e + 2] for b in x]
-        shifted = [[b[d : e + d] for d in (0, 1, 3, 4)] for b in x]
-        diag, offs = w[2, :e], [w[d, :e] for d in (0, 1, 3, 4)]
-        buf = tmp[:e]
-        running = sizes[: int(np.searchsorted(ends, e)) + 1]
-        sums = acc[:, :e]
-        for k in range(first, last):
-            # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
-            cur, y = rows[(k + 1) % 2], rows[k % 2]
-            if len(stack) == 1:
-                np.multiply(cur, table[k, 0], out=buf)
-            else:
-                np.multiply(cur, np.repeat(table[k, : len(running)], running), out=buf)
-            sums[k % 2] += buf
-            # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
-            # T_1 = H_s T_0.
-            np.multiply(diag, cur, out=buf)
-            np.subtract(buf, y, out=y)
-            for wd, xd in zip(offs, shifted[(k + 1) % 2]):
-                np.multiply(wd, xd, out=buf)
-                y += buf
-            if k == 0:
-                y *= 0.5
-    re = acc[0] * phase[0] - acc[1] * phase[1]
-    im = acc[0] * phase[1] + acc[1] * phase[0]
-    return [
-        (re[end - size : end] + 1j * im[end - size : end], tail)
-        for end, size, tail in zip(ends, sizes, tails)
-    ]
+    buf = np.empty(n)
+    rows = [b[2 : n + 2] for b in x]
+    shifted = [[b[d : n + d] for d in (0, 1, 3, 4)] for b in x]
+    offs = [w[d] for d in (0, 1, 3, 4)]
+    for k, a_k in enumerate(table):
+        # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
+        cur, y = rows[(k + 1) % 2], rows[k % 2]
+        if len(stack) == 1:
+            np.multiply(cur, a_k[0], out=buf)
+        else:
+            np.multiply(cur, np.repeat(a_k, sizes), out=buf)
+        acc[k % 2] += buf
+        # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
+        # T_1 = H_s T_0.
+        np.multiply(w[2], cur, out=buf)
+        np.subtract(buf, y, out=y)
+        for wd, xd in zip(offs, shifted[(k + 1) % 2]):
+            np.multiply(wd, xd, out=buf)
+            y += buf
+        if k == 0:
+            y *= 0.5
+    out = []
+    for end, size, tail, (c, s) in zip(ends, sizes, tails, turns):
+        even, odd = acc[0, end - size : end], acc[1, end - size : end]
+        out.append((even * c - odd * s + 1j * (even * s + odd * c), tail))
+    return out
 
 
 def propagate(sectors, t):
@@ -350,8 +337,16 @@ def evolve_exact(h, s0, t):
         raise InvalidParameterError(f"time must be finite, got {t}")
     if t == 0.0:
         return s0
+    steps = _gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)
+    # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
+    # the bound could exceed the norm-drift tolerance checked below.
+    if not steps * _TAIL_TOL <= 1e-6:
+        raise UnsupportedRegimeError(
+            f"evolving for t = {t:g} takes about {steps:.3g} Chebyshev steps, "
+            f"whose truncation bound could exceed 1e-6"
+        )
+    steps = max(1, math.ceil(steps))
     amp, bound = s0.amplitudes, s0.error_bound
-    steps = max(1, math.ceil(_gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)))
     for _ in range(steps):
         parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
         out = list(propagate([(h, part) for part in parts], t / steps))
@@ -369,6 +364,15 @@ def mean_n1(s):
     return float(np.sum(n * np.abs(s.amplitudes) ** 2))
 
 
+def _check_phases(rate, times):
+    """Raise unless every phase rate * t is a finite float."""
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    if not math.isfinite(rate * t_max):
+        raise InvalidParameterError(
+            f"phase {rate:.6g} * t overflows a float at |t| = {t_max:.6g}"
+        )
+
+
 def mean_n1_trace(h, s0, times):
     """<n1>(t) sampled at the given times."""
     times = np.asarray(times, dtype=float)
@@ -381,6 +385,7 @@ def mean_n1_trace(h, s0, times):
         # real and imaginary parts so that v is never copied to complex,
         # and no (dimension x samples) array is held at once.
         w, v = h.eigensystem()
+        _check_phases(float(np.max(np.abs(w))), times)
         cr = v.T @ s0.amplitudes.real
         ci = v.T @ s0.amplitudes.imag
         for lo in range(0, times.size, _TRACE_BLOCK):
@@ -426,6 +431,12 @@ def oscillation_law(coeffs, m_total):
         - coeffs.mu
     )
     gm = coeffs.gamma * m
+    lam2 = coeffs.g01**2 * (m - nbar) ** 2 * m
+    if not all(map(math.isfinite, (delta, gm, lam2))):
+        raise InvalidParameterError(
+            f"non-finite coefficients at M = {m_total}: "
+            f"Delta = {delta!r}, gamma*M = {gm!r}, lambda^2 = {lam2!r}"
+        )
     hw2 = delta**2 - gm**2
     if hw2 <= 0:
         return OscillationLaw(
@@ -435,7 +446,6 @@ def oscillation_law(coeffs, m_total):
             c2=float("nan"),
             stable=False,
         )
-    lam2 = coeffs.g01**2 * (m - nbar) ** 2 * m
     c1 = (gm**2 + lam2) / hw2
     c2 = lam2 * (delta - gm) ** 2 / hw2**2
     return OscillationLaw(
@@ -454,6 +464,7 @@ def mean_n1_analytic(law, t):
             f"oscillation law is parametrically unstable at M = {law.m_total}"
         )
     t = np.asarray(t, dtype=float)
+    _check_phases(law.omega_prime, t)
     wt = law.omega_prime * t
     out = law.c1 * np.sin(wt) ** 2 + law.c2 * (np.cos(wt) - 1.0) ** 2
     return float(out) if out.ndim == 0 else out

@@ -5,11 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bogodense.errors as errors
 from bogodense import HBAR, ConfigError
 from bogodense.cli import _DEFAULTS, main, parse_config
 
@@ -269,6 +275,16 @@ def test_dynamics_rejects_tiny_step_count(capsys):
     for bad in ("0", "-5"):
         assert main(["dynamics", *FAST, "--mode", "analytic", "--m-total", bad]) == 1
         assert "error [config]" in capsys.readouterr().err
+    # At --t-max 1e308 the phases w*t overflowed: nan rows, numpy warnings
+    # on stderr and exit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("both", "analytic"):
+            args = ["dynamics", *FAST, "--steps", "3", "--t-max", "1e308", "--mode", mode]
+            assert main(args) == 1, mode
+            captured = capsys.readouterr()
+            assert captured.out == "", mode
+            assert captured.err.startswith("error [invalid-parameter]:"), mode
 
 
 def test_output_bytes_independent_of_thread_count():
@@ -441,3 +457,97 @@ def test_figure1_profiles(tmp_path):
     # xi1 changes sign once inside the cloud.
     flips = np.sum(np.abs(np.diff(np.sign(xi1[np.abs(xi1) > 1e-6 * np.max(np.abs(xi1))]))) > 0)
     assert flips == 1
+
+
+# ------------------------------------------------------------ main() contract
+
+CATEGORIES = {
+    cls.category
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.BogodenseError)
+}
+
+
+def _float_flag(valid):
+    return st.sampled_from([valid, "0", "-3", "nan", "inf", "1e308", "x"])
+
+
+def _int_flag(valid):
+    return st.sampled_from([valid, "0", "-3", "x"])
+
+
+INIT_SPECS = [
+    "gaussian", "gaussian:90,8", "point:90", "twopoint:80,120",
+    "gaussian:", "gaussian:90", "gaussian:nan,8", "gaussian:90,-1", "gaussian:1e308,1",
+    "point:", "point:x", "point:-3", "point:1e3", "twopoint:5", "twopoint:-5,120",
+    "uniform:5", "", ":",
+]
+
+# Each flag is drawn or left out, except those in BOUNDED and in the second
+# dict of OWN[command]: they are always given, since their defaults (4000
+# grid points, 1e5 iterations, 401 steps, 200 cycles) are slow.  With every
+# valid sector at M <= 300 an example stays under a second.
+COMMON = {
+    "--nbar": _float_flag("100"),
+    "--n0": _float_flag("100"),
+    "--mass-kg": _float_flag("1.44e-25"),
+    "--scattering-length-m": _float_flag("1e-8"),
+    "--trap-frequency-hz": _float_flag("1000"),
+    "--r-max": _float_flag("8"),
+    "--tol": _float_flag("1e-8"),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--si": st.none(),
+}
+BOUNDED = {"--grid-points": _int_flag("800"), "--max-iter": _int_flag("3000")}
+OWN = {
+    "ground": ({"--tf": st.none()}, {}),
+    "modes": ({}, {}),
+    "figure1": ({}, {}),
+    "bdg": ({"--num-modes": _int_flag("4")}, {}),
+    "dynamics": (
+        {
+            "--m-total": _int_flag("300"),
+            "--t-max": _float_flag("1.5"),
+            "--mode": st.sampled_from(["exact", "analytic", "both"]),
+        },
+        {"--steps": _int_flag("50")},
+    ),
+    "protocol": (
+        {"--init": st.sampled_from(INIT_SPECS), "--m-max": _int_flag("300")},
+        {"--cycles": _int_flag("50")},
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(OWN)))
+    optional, required = OWN[command]
+    argv = [command]
+    for flag, values in {**BOUNDED, **required}.items():
+        argv += [flag, draw(values)]
+    for flag, values in {**COMMON, **optional}.items():
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=40)
+@given(argv=_argv())
+def test_main_returns_a_status_and_never_raises(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        text = err.getvalue()
+        if text.startswith("{"):
+            category = json.loads(text)["error"]["category"]
+        else:
+            assert text.startswith("error ["), (argv, text)
+            category = text[len("error [") :].split("]:", 1)[0]
+        assert category in CATEGORIES, (argv, text)
+    elif code == 0 and "json" not in argv:
+        cells = {c.lower() for line in out.getvalue().split("\n") for c in line.split(",")}
+        assert not {"nan", "inf", "-inf"} & cells, argv

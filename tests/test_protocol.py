@@ -136,6 +136,20 @@ def test_kernel_rows_are_probabilities(cfg100):
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_kernels_of_invalid_sectors_rejected(cfg100):
+    # M = -3 gave the empty sector's kernel [1.] and M = 2.7 built M = 2.
+    for bad in (-3, 2.7, -0.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            cfg100.kernels([4, bad])
+    with pytest.raises(InvalidParameterError):
+        cfg100.kernel(-3)
+    # The numpy integers run_protocol passes, and integral floats, stay valid.
+    ms = np.array([3, 0], dtype=np.int64)
+    for m, column in zip(ms, cfg100.kernels(ms)):
+        assert np.array_equal(column, cfg100.kernel(int(m)))
+    assert np.array_equal(cfg100.kernel(3.0), cfg100.kernel(3))
+
+
 def test_batched_kernels_equal_single_sector_kernels(cfg100, monkeypatch):
     # Any order in, the same order out, and each column is the kernel of
     # that sector built alone, bit for bit.

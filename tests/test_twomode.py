@@ -118,6 +118,11 @@ def test_non_finite_coefficients_rejected(bad):
             build_h01(co, 8)
         with pytest.raises(InvalidParameterError, match="non-finite"):
             ProtocolConfig(n0=2.6, coeffs=co, cycles=1, m_max=8).kernel(5)
+        # The law used to pass NaN as stable and give a NaN cycle time.
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            oscillation_law(co, 8)
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            ProtocolConfig(n0=2.6, coeffs=co, cycles=1, m_max=8).cycle_time
 
 
 def test_hamiltonian_is_a_checked_frozen_value():
@@ -281,6 +286,30 @@ def test_large_dimension_matches_dense_eigensolution():
     t = math.pi / oscillation_law(co, 10000).omega_prime
     s = evolve_exact(build_h01(co, 5000), fock_state(5000, 0), t)
     assert mean_n1(s) == pytest.approx(263.14163520628176, rel=1e-8)
+
+
+def test_overflowing_phases_rejected():
+    # w*t overflowed to inf and the traces came out nan.
+    h = build_h01(GENERIC, 8)
+    law = oscillation_law(GENERIC, 8)
+    times = np.array([0.0, 1e308])
+    with np.errstate(all="raise"):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            mean_n1_trace(h, fock_state(8, 0), times)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            mean_n1_analytic(law, times)
+
+
+def test_huge_times_refused_before_stepping(case100, monkeypatch):
+    # t = 1e300 meant about 1.8e296 Chebyshev steps: the call never returned.
+    h = build_h01(case100["coeffs"], 100)
+    with pytest.raises(UnsupportedRegimeError, match="steps"):
+        evolve_exact(h, fock_state(100, 0), 1e300)
+    # The stepped trace above the eigensolver limit takes the same way out.
+    monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
+    h = build_h01(case100["coeffs"], 120)
+    with pytest.raises(UnsupportedRegimeError, match="steps"):
+        mean_n1_trace(h, fock_state(120, 0), np.array([0.0, 1e300]))
 
 
 def test_trace_fallback_path_matches(case100, monkeypatch):
