@@ -44,6 +44,10 @@ from .twomode import (
     oscillation_law,
 )
 
+# Largest protocol --m-max: the protocol computes no eigensystem, but it
+# iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.
+_TRANSITION_CAP = 4000
+
 _EPILOG = """\
 physical constants:
   hbar is fixed to the 2018 CODATA value 1.054571817e-34 J s.
@@ -417,10 +421,11 @@ def _initial_distribution(spec, n0, m_max):
         raise ConfigError(
             f"protocol cap m_max = {m_max} must be >= 1 (from --m-max or --init)"
         )
-    if m_max > _EIG_LIMIT:
+    if m_max > _TRANSITION_CAP:
         raise UnsupportedRegimeError(
-            f"protocol cap m_max = {m_max} exceeds the exact-evolution limit "
-            f"{_EIG_LIMIT}; run with a desk-scale --n0"
+            f"protocol cap m_max = {m_max} exceeds the dense transition-matrix "
+            f"cap {_TRANSITION_CAP} ({8 * (_TRANSITION_CAP + 1) ** 2 / 1e6:.0f} MB); "
+            f"run with a desk-scale --n0"
         )
     return make(*args, m_max=m_max)
 

@@ -111,6 +111,11 @@ def _initial_guess(dp, grid):
     else:
         values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
     norm = integrate(RadialField(grid, values**2))
+    if not norm > 0.0:
+        raise InvalidParameterError(
+            f"grid spacing h = {grid.h:.6g} is too coarse: the initial guess "
+            f"has no weight on any node; lower r_max or add grid points"
+        )
     return values / math.sqrt(norm)
 
 

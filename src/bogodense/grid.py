@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+# Largest r_max (trap units) for which 4*pi*r_max^3, the scale of the
+# quadrature weights 4*pi*r^2*h summed over the grid, stays a finite float.
+_R_MAX_LIMIT = 1e102
+
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
@@ -23,6 +27,11 @@ class RadialGrid:
     def __post_init__(self):
         if not (self.r_max > 0 and np.isfinite(self.r_max)):
             raise InvalidParameterError(f"r_max must be positive, got {self.r_max}")
+        if not self.r_max <= _R_MAX_LIMIT:
+            raise InvalidParameterError(
+                f"r_max = {self.r_max:g} exceeds {_R_MAX_LIMIT:g}: the volume "
+                f"quadrature's 4*pi*r^2*h weights would overflow a float"
+            )
         if self.n_points < 16:
             raise InvalidParameterError(
                 f"n_points must be at least 16, got {self.n_points}"

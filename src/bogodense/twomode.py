@@ -28,10 +28,13 @@ from .errors import (
     UnsupportedRegimeError,
 )
 
-# Up to this size mean_n1_trace samples the cached eigensystem; above it
-# the dense eigenvector matrix gets large (> ~130 MB) and the trace steps
-# the Chebyshev propagator between sorted times.
+# Up to this size mean_n1_trace samples the cached eigensystem, on the one
+# window of eigenmodes whose discarded start weight delta^2 keeps
+# M*(2*delta + delta^2) <= _WINDOW_TOL for a unit start; above it the dense
+# eigenvector matrix gets large (> ~130 MB) and the trace steps the
+# Chebyshev propagator between sorted times.
 _EIG_LIMIT = 4000
+_WINDOW_TOL = 1e-12
 # Samples per block of the spectral trace: a block holds a few
 # (M+1) x _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
 _TRACE_BLOCK = 64
@@ -373,8 +376,47 @@ def _check_phases(rate, times):
         )
 
 
+def _trace_window(cr, ci, m_total):
+    """The narrowest eigen-index window [a, b) the trace may keep, and its bound.
+
+    With q_k = cr_k^2 + ci_k^2 the start state's weight on eigenmode k,
+    delta^2 = sum_{k<a} q_k + sum_{k>=b} q_k is the weight left out, each
+    part summed from its own end (1 - kept would cancel).  Writing the
+    evolved state as psi_S + psi_D with |psi_D| = delta and |psi_S| <= r,
+    the norm of the start state, |<N>_psi - <N>_psi_S| <= 2|<psi_S|N|psi_D>|
+    + <psi_D|N|psi_D> <= M*delta*(2r + delta) at every t, since |N| = M.
+    Returns a, b and that bound, which is at most _WINDOW_TOL.
+    """
+    q = cr**2 + ci**2
+    below = np.concatenate(([0.0], np.cumsum(q)))  # below[a] = sum_{k<a} q_k
+    above = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sum_{k>=b} q_k
+    r = math.sqrt(float(below[-1]))
+    x = _WINDOW_TOL / m_total
+    # The delta at which the bound reaches _WINDOW_TOL, written without
+    # cancellation.
+    budget = (x / (r + math.sqrt(r * r + x))) ** 2
+    a = np.flatnonzero(below <= budget)
+    # For each a the smallest b >= a whose tail fits in what a leaves over.
+    b = np.maximum(np.searchsorted(-above, below[a] - budget, side="left"), a)
+    delta = np.sqrt(below[a] + above[b])
+    bound = m_total * delta * (2.0 * r + delta)
+    # Rounding may put a pair a hair over the budget; it drops out.
+    fits = np.flatnonzero(bound <= _WINDOW_TOL)
+    i = fits[np.argmin(b[fits] - a[fits])]
+    return int(a[i]), int(b[i]), float(bound[i])
+
+
 def mean_n1_trace(h, s0, times):
-    """<n1>(t) sampled at the given times."""
+    """<n1>(t) sampled at the given times.
+
+    Up to M = _EIG_LIMIT the trace projects s0 on the cached eigensystem and
+    keeps only the contiguous window of eigenmodes that s0 occupies: the
+    weight left out, delta^2, keeps M*(2*delta + delta^2) <= _WINDOW_TOL
+    for a unit s0, which bounds the change of every sample (see
+    _trace_window, which uses the norm of s0 in place of 1).  The
+    window is a view of the eigenvectors, so nothing is copied.  Above
+    _EIG_LIMIT it steps the Chebyshev propagator through the sorted times.
+    """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be finite")
@@ -388,6 +430,8 @@ def mean_n1_trace(h, s0, times):
         _check_phases(float(np.max(np.abs(w))), times)
         cr = v.T @ s0.amplitudes.real
         ci = v.T @ s0.amplitudes.imag
+        a, b, _ = _trace_window(cr, ci, h.m_total)
+        w, v, cr, ci = w[a:b], v[:, a:b], cr[a:b], ci[a:b]
         for lo in range(0, times.size, _TRACE_BLOCK):
             phase = np.outer(w, times[lo : lo + _TRACE_BLOCK])
             cos, sin = np.cos(phase), np.sin(phase)

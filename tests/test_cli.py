@@ -129,8 +129,8 @@ def test_option_errors_reported_before_solve(monkeypatch, capsys):
 
 
 def test_json_error_rendering(capsys):
-    # The default protocol cap tracks n0 = 1e5, far beyond the exact
-    # evolution limit, and the error is reported as structured JSON.
+    # The default protocol cap tracks n0 = 1e5, far beyond the dense
+    # transition-matrix cap, and the error is reported as structured JSON.
     code = main(
         ["protocol", "--grid-points", "800", "--format", "json", "--cycles", "1"]
     )
@@ -138,7 +138,7 @@ def test_json_error_rendering(capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert payload["error"]["category"] == "unsupported-regime"
-    assert "4000" in payload["error"]["message"]
+    assert "transition-matrix cap 4000" in payload["error"]["message"]
 
 
 # ------------------------------------------------------------------- ground
@@ -195,6 +195,20 @@ def test_ground_rejects_a_grid_inside_the_cloud(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error [truncation-overflow]:")
         assert "r_max" in captured.err
+
+
+def test_huge_r_max_refused_without_warnings(capsys):
+    # r_max = 1e308 squared its nodes to inf: three numpy RuntimeWarnings
+    # came before the error.  r_max = 1e20 passes the grid, but its spacing
+    # leaves the GPE's initial guess zero on every node (it divided 0/0).
+    for r_max in ("1e308", "1e160", "1e20"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["modes", "--grid-points", "800", "--r-max", r_max]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [invalid-parameter]:"), captured.err
 
 
 def test_sidecar_name_avoids_clobbering_json_output(tmp_path):
@@ -537,9 +551,15 @@ def _argv(draw):
 @given(argv=_argv())
 def test_main_returns_a_status_and_never_raises(argv):
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2), (argv, code)
+    # A numpy overflow or 0/0 on the way to the result is a fault even when
+    # a later check turns the result into a categorized error.
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numeric, (argv, numeric)
     if code == 1:
         text = err.getvalue()
         if text.startswith("{"):

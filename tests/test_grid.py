@@ -24,6 +24,15 @@ def test_grid_validation():
         RadialGrid(r_max=8.0, n_points=15)
     with pytest.raises(InvalidParameterError):
         RadialGrid(r_max=0.0, n_points=100)
+    # Squared nodes of r_max = 1e308 overflowed in every quadrature.
+    for r_max in (1e308, 1e160, 1.01e102):
+        with pytest.raises(InvalidParameterError, match="r_max"):
+            RadialGrid(r_max=r_max, n_points=100)
+    # At the largest accepted r_max the weights 4*pi*r^2*h of a unit field
+    # still sum to a finite float.
+    grid = RadialGrid(r_max=1e102, n_points=16)
+    with np.errstate(over="raise"):
+        assert math.isfinite(integrate(RadialField(grid, np.ones(16))))
 
 
 def test_field_validation():

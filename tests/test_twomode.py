@@ -327,6 +327,59 @@ def test_trace_fallback_path_matches(case100, monkeypatch):
     assert np.max(np.abs(ref - alt)) < 1e-10
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 150),
+    gamma=st.floats(0.0, 0.05),
+    mu=st.floats(-3.0, 3.0),
+    mu1=st.floats(-3.0, 3.0),
+    g01=st.floats(-0.05, 0.05),
+    alpha2=st.floats(0.01, 0.5),
+    nbar=st.floats(0.0, 60.0),
+    t_max=st.floats(0.0, 5.0),
+    occupied=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_trace_matches_dense_eigh(
+    m, gamma, mu, mu1, g01, alpha2, nbar, t_max, occupied, seed
+):
+    # A complex start on a few Fock states occupies few eigenmodes, so the
+    # window cuts; the dense trace keeps every mode.
+    co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
+    h = build_h01(co, m)
+    rng = np.random.default_rng(seed)
+    amp = np.zeros(m + 1, dtype=complex)
+    at = rng.choice(m + 1, size=min(occupied, m + 1), replace=False)
+    amp[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+    amp /= np.linalg.norm(amp)
+    times = np.concatenate(([0.0], np.sort(rng.uniform(-t_max, t_max, 20))))
+    w, v = np.linalg.eigh(h.to_dense())
+    c = v.T @ amp
+    n = np.arange(m + 1.0)
+    want = [n @ np.abs(v @ (np.exp(-1j * w * t) * c)) ** 2 for t in times]
+    got = mean_n1_trace(h, TwoModeState(m, amp), times)
+    assert np.max(np.abs(got - want)) <= 1e-12 + 1e-14 * m
+    # The discarded weight is summed from the two ends of the cached
+    # eigensystem's coefficients, and its bound on <n1> holds.
+    wb, vb = h.eigensystem()
+    cr, ci = vb.T @ amp.real, vb.T @ amp.imag
+    a, b, bound = twomode._trace_window(cr, ci, m)
+    q = cr**2 + ci**2
+    delta = math.sqrt(float(np.sum(q[:a]) + np.sum(q[b:])))
+    assert bound <= 1e-12
+    assert m * (2.0 * delta + delta**2) == pytest.approx(bound, rel=1e-9, abs=1e-30)
+
+
+def test_window_engages_at_criterion_two_shape(case1000):
+    # |M, 0> at M = nbar = 1000 occupies a few percent of the eigenmodes
+    # above 1e-14; the trace samples at most a third of them.
+    h = build_h01(case1000["coeffs"], 1000)
+    w, v = h.eigensystem()
+    a, b, bound = twomode._trace_window(v[0], np.zeros(1001), 1000)
+    assert 0 < b - a <= 1001 // 3
+    assert bound <= 1e-12
+
+
 def test_oscillation_law_formulas(case1000):
     co = case1000["coeffs"]
     law = oscillation_law(co, 1000)
