@@ -39,7 +39,9 @@ _WINDOW_TOL = 1e-12
 # (M+1) x _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
 _TRACE_BLOCK = 64
 # Elements per stacked Chebyshev recursion: sectors are packed into vectors
-# of at most this length, so its work arrays stay cache-sized.
+# of at most this length n, so its work arrays (the (5, n) DIA band, the
+# T_{k-1} and T_k rows, the (2, n) accumulator and one buffer: 10 n floats,
+# 1.3 MB) stay cache-sized.
 _STACK_LIMIT = 1 << 14
 # The Chebyshev series stops at the first k > z with |J_k(z)| below this;
 # the tail beyond it bounds the truncation error and must stay below
@@ -238,24 +240,29 @@ def _propagate_block(stack, t):
     Gershgorin interval, so it keeps its own z and its own number of terms;
     past them its coefficients are zero.  Element by element the arithmetic
     does not depend on the other sectors, so a sector's result is the same
-    alone or stacked.
+    alone or stacked.  Each term is one in-place banded product, scipy's
+    DIA kernel y += A x on y = -T_{k-1}.
     """
+    from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
+
     sizes = [h.m_total + 1 for h, _ in stack]
     ends = np.cumsum(sizes)
     n = int(ends[-1])
-    # Weights of x[i-2], x[i-1], x[i], x[i+1], x[i+2] in row i of 2*H_s,
-    # H_s = (H - centre)/half-width.
-    w = np.zeros((5, n))
-    x = np.zeros((2, n + 4))  # T_{k-1}, T_k with two zero cells each side
+    # 2*H_s, H_s = (H - centre)/half-width, in DIA layout: band[d, j] is the
+    # weight of x[j] in row j - offsets[d].  Row i adds x[i], x[i-2], x[i-1],
+    # x[i+1], x[i+2] to -T_{k-1}[i] in this order, which the tests pin.
+    offsets = np.array([0, -2, -1, 1, 2], dtype=np.int32)
+    band = np.zeros((5, n))
+    x = np.zeros((2, n))  # T_{k-1}, T_k
     coef, tails, turns = [], [], []
     for (h, start), end, size in zip(stack, ends, sizes):
         lo = end - size
         centre, half = _gershgorin(h)
         scale = 2.0 / half if half > 0.0 else 0.0
-        w[2, lo:end] = (h.diag - centre) * scale
-        w[1, lo + 1 : end] = w[3, lo : end - 1] = h.off1 * scale
-        w[0, lo + 2 : end] = w[4, lo : end - 2] = h.off2 * scale
-        x[1, lo + 2 : end + 2] = start
+        band[0, lo:end] = (h.diag - centre) * scale
+        band[2, lo : end - 1] = band[3, lo + 1 : end] = h.off1 * scale
+        band[1, lo : end - 2] = band[4, lo + 2 : end] = h.off2 * scale
+        x[1, lo:end] = start
         turns.append((math.cos(centre * t), -math.sin(centre * t)))
         # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
         # with z = half-width * t, and J_k(-z) = (-1)^k J_k(z).
@@ -276,12 +283,9 @@ def _propagate_block(stack, t):
         table[: a.size, i] = a
     acc = np.zeros((2, n))  # even terms are real, odd terms imaginary
     buf = np.empty(n)
-    rows = [b[2 : n + 2] for b in x]
-    shifted = [[b[d : n + d] for d in (0, 1, 3, 4)] for b in x]
-    offs = [w[d] for d in (0, 1, 3, 4)]
     for k, a_k in enumerate(table):
         # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
-        cur, y = rows[(k + 1) % 2], rows[k % 2]
+        cur, y = x[(k + 1) % 2], x[k % 2]
         if len(stack) == 1:
             np.multiply(cur, a_k[0], out=buf)
         else:
@@ -289,11 +293,8 @@ def _propagate_block(stack, t):
         acc[k % 2] += buf
         # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
         # T_1 = H_s T_0.
-        np.multiply(w[2], cur, out=buf)
-        np.subtract(buf, y, out=y)
-        for wd, xd in zip(offs, shifted[(k + 1) % 2]):
-            np.multiply(wd, xd, out=buf)
-            y += buf
+        np.negative(y, out=y)
+        dia_matvec(n, n, 5, n, offsets, band, cur, y)
         if k == 0:
             y *= 0.5
     out = []
@@ -311,7 +312,9 @@ def propagate(sectors, t):
     its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
     start norm.  Consecutive sectors are stacked into recursions of at most
     _STACK_LIMIT elements (a larger sector runs alone), and only one stack
-    is held at a time.
+    is held at a time.  Each term of a recursion is one in-place banded
+    product (scipy's DIA kernel, no BLAS), which sums every row in a fixed
+    order, so the results do not depend on the thread count.
     """
     stack, size = [], 0
     for h, start in sectors:

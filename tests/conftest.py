@@ -1,5 +1,9 @@
 import sys
 
+# bogodense first: BOGODENSE_THREADS caps the thread pools only when the
+# package loads before numpy, and after numpy its RuntimeWarning would be
+# an error under the suite's filterwarnings.
+import bogodense  # noqa: F401
 import pytest
 from hypothesis import settings
 

@@ -325,10 +325,11 @@ def test_output_bytes_independent_of_thread_count():
 def test_thread_cap_after_numpy_import_warns():
     # BOGODENSE_THREADS only caps the pools when bogodense loads before
     # numpy; after numpy the import warns on stderr and prints nothing.
+    # The suite's own BOGODENSE_THREADS is dropped so the uncapped run is one.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS", "PYTHONWARNINGS")}
+                        "NUMEXPR_NUM_THREADS", "PYTHONWARNINGS", "BOGODENSE_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
     def run(code, cap):
@@ -345,13 +346,30 @@ def test_thread_cap_after_numpy_import_warns():
         assert proc.stdout == b"" and proc.stderr == b""
 
 
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse loads only inside the Chebyshev propagator and the BdG
+    # solve, so a fresh `import bogodense` (the CLI's start-up) never pays
+    # for it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, bogodense; "
+        "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert proc.stdout == b"[]\n"
+
+
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
-    # The default M = round(nbar) = 1e5 is beyond the exact-evolution limit:
-    # exact traces are refused up front, the analytic law still runs there.
+    # The default M = round(nbar) = 1e5 is beyond the dense eigenvector cap
+    # of the sampled trace: exact traces are refused up front, the analytic
+    # law still runs there.
     for mode in ("exact", "both"):
         assert main(["dynamics", "--grid-points", "800", "--mode", mode]) == 1
         err = capsys.readouterr().err
         assert "[unsupported-regime]" in err and "--mode analytic" in err
+        assert "dense eigenvector cap 4000 (128 MB)" in err
     args = ["dynamics", "--grid-points", "800", "--steps", "5", "--mode", "analytic"]
     assert main(args) == 0
     out = capsys.readouterr().out

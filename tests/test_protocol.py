@@ -1,5 +1,6 @@
 """Cyclic depletion protocol tests: distributions, kernels, trajectories."""
 
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import bogodense.twomode as twomode
 from bogodense import (
+    CouplingCoefficients,
     InvalidParameterError,
     NumberDistribution,
     ProtocolConfig,
@@ -171,6 +173,31 @@ def test_batched_kernels_equal_single_sector_kernels(cfg100, monkeypatch):
     assert stacks[0] == [40, 39] and stacks[-1] == [5, 4, 3, 2, 1]
     for m, column in enumerate(batched):
         assert np.array_equal(column, cfg100.kernel(m))
+
+
+def test_kernel_bytes_pinned():
+    # The kernels of M = 1..130 at the n0 = 100 reference-trap coefficients
+    # (oracles.solve_case(100), pinned to full precision), hashed in order.
+    # The digest is the same at 1 and at 2 BLAS threads: a faster Chebyshev
+    # recursion must keep every bit of every kernel.
+    co = CouplingCoefficients(
+        alpha2=0.027172004239325465,
+        alpha3=0.0010141606522465969,
+        alpha4=4.3238655250103276e-05,
+        beta=60.21007163509057,
+        gamma=0.010924178773659874,
+        mu1=4.447772889808319,
+        mu=2.706465773975744,
+        g01=0.006113273414595271,
+        nbar=100.0,
+    )
+    cfg = ProtocolConfig(n0=100.0, coeffs=co, cycles=1, m_max=130)
+    digest = hashlib.sha256()
+    for k in cfg.kernels(range(1, 131)):
+        digest.update(k.tobytes())
+    assert digest.hexdigest() == (
+        "c6a376291ee079820a13dbaa64298337da122a4cd88a540874be5e589489352b"
+    )
 
 
 # ---------------------------------------------------------------- single cycles

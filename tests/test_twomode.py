@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -271,7 +272,10 @@ def test_large_dimension_matches_dense_eigensolution():
     # |M,0>, t = pi/w'(1e4).  The pinned <n1> comes from a one-off dense
     # solve of the same Hamiltonian: scipy.linalg.eig_banded on
     # h.to_banded_lower() for all 5001 eigenpairs (w, v), amplitudes
-    # v @ (exp(-i w t) * v[0]), <n1> = sum_n n |amp_n|^2.
+    # v @ (exp(-i w t) * v[0]), <n1> = sum_n n |amp_n|^2.  The digest pins
+    # the amplitude bytes of the Chebyshev recursion itself, the same at 1
+    # and at 2 BLAS threads: a faster recursion must sum every row in the
+    # same order.
     co = CouplingCoefficients(
         alpha2=0.002197847795460061,
         alpha3=5.747136986882019e-06,
@@ -286,6 +290,9 @@ def test_large_dimension_matches_dense_eigensolution():
     t = math.pi / oscillation_law(co, 10000).omega_prime
     s = evolve_exact(build_h01(co, 5000), fock_state(5000, 0), t)
     assert mean_n1(s) == pytest.approx(263.14163520628176, rel=1e-8)
+    assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == (
+        "466c516a0d963356ca828c27da1010b3d230e24bf7a798077f6de8165ca16cbc"
+    )
 
 
 def test_overflowing_phases_rejected():
