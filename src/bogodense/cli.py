@@ -9,6 +9,7 @@ give byte-identical files.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -201,18 +202,14 @@ def parse_config(argv=None):
     return args
 
 
-def _fmt_cell(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def _csv_text(header, columns):
-    lines = [",".join(header)]
-    n_rows = len(columns[0])
-    for i in range(n_rows):
-        lines.append(",".join(_fmt_cell(col[i]) for col in columns))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    fmt = ["%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns]
+    np.savetxt(
+        buf, np.column_stack(columns), fmt=fmt, delimiter=",",
+        header=",".join(header), comments="",
+    )
+    return buf.getvalue()
 
 
 def _sanitize(obj):
@@ -489,27 +486,24 @@ _DISPATCH = {
 }
 
 
-def _report_error(exc, fmt):
-    category = getattr(exc, "category", "io")
-    if fmt == "json":
-        payload = {"error": {"category": category, "message": str(exc)}}
-        sys.stderr.write(json.dumps(payload) + "\n")
-    else:
-        sys.stderr.write(f"error [{category}]: {exc}\n")
-
-
 def main(argv=None):
+    fmt = "csv"
     try:
         cfg = parse_config(argv)
+        fmt = cfg.format
+        _DISPATCH[cfg.command](cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except BogodenseError as exc:
-        _report_error(exc, "csv")
-        return 1
-    try:
-        _DISPATCH[cfg.command](cfg)
-    except (BogodenseError, OSError) as exc:
-        _report_error(exc, cfg.format)
+    except (BogodenseError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            category, message = "unsupported-regime", f"out of memory: {exc}"
+        else:
+            category, message = getattr(exc, "category", "io"), str(exc)
+        if fmt == "json":
+            payload = {"error": {"category": category, "message": message}}
+            sys.stderr.write(json.dumps(payload) + "\n")
+        else:
+            sys.stderr.write(f"error [{category}]: {message}\n")
         return 1
     return 0
 

@@ -327,6 +327,14 @@ def propagate(sectors, t):
         yield from _propagate_block(stack, t)
 
 
+def _check_state(h, s0):
+    """Raise unless s0 lives in the Fock space of h."""
+    if s0.m_total != h.m_total:
+        raise InvalidParameterError(
+            f"state has M = {s0.m_total}, Hamiltonian has M = {h.m_total}"
+        )
+
+
 def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
@@ -335,10 +343,7 @@ def evolve_exact(h, s0, t):
     and imaginary parts through one stacked recursion.  The state's
     error_bound grows by the truncation bound of each series.
     """
-    if s0.m_total != h.m_total:
-        raise InvalidParameterError(
-            f"state has M = {s0.m_total}, Hamiltonian has M = {h.m_total}"
-        )
+    _check_state(h, s0)
     if not math.isfinite(t):
         raise InvalidParameterError(f"time must be finite, got {t}")
     if t == 0.0:
@@ -420,6 +425,7 @@ def mean_n1_trace(h, s0, times):
     window is a view of the eigenvectors, so nothing is copied.  Above
     _EIG_LIMIT it steps the Chebyshev propagator through the sorted times.
     """
+    _check_state(h, s0)
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be finite")
@@ -469,22 +475,29 @@ def oscillation_law(coeffs, m_total):
     """Closed-form oscillation parameters of the linearized two-mode model."""
     if m_total < 1:
         raise InvalidParameterError(f"m_total must be >= 1, got {m_total}")
-    m = float(m_total)
-    nbar = coeffs.nbar
-    delta = (
-        coeffs.gamma * (2.0 * m - nbar)
-        - (m - nbar) * coeffs.g_alpha2
-        + coeffs.mu1
-        - coeffs.mu
-    )
-    gm = coeffs.gamma * m
-    lam2 = coeffs.g01**2 * (m - nbar) ** 2 * m
+    # Python floats raise OverflowError where numpy would return inf: in
+    # float(M) above about 1.8e308 and in the powers below.
+    try:
+        m = float(m_total)
+        nbar = coeffs.nbar
+        delta = (
+            coeffs.gamma * (2.0 * m - nbar)
+            - (m - nbar) * coeffs.g_alpha2
+            + coeffs.mu1
+            - coeffs.mu
+        )
+        gm = coeffs.gamma * m
+        lam2 = coeffs.g01**2 * (m - nbar) ** 2 * m
+        hw2 = delta**2 - gm**2
+    except OverflowError:
+        raise InvalidParameterError(
+            f"M = {m_total} overflows a float in the oscillation law"
+        ) from None
     if not all(map(math.isfinite, (delta, gm, lam2))):
         raise InvalidParameterError(
             f"non-finite coefficients at M = {m_total}: "
             f"Delta = {delta!r}, gamma*M = {gm!r}, lambda^2 = {lam2!r}"
         )
-    hw2 = delta**2 - gm**2
     if hw2 <= 0:
         return OscillationLaw(
             m_total=int(m_total),
@@ -528,8 +541,8 @@ def dominant_frequency(times, values):
     if times.size < 8:
         raise InvalidParameterError("need at least 8 samples")
     dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise InvalidParameterError("samples must be uniformly spaced")
+    if not (dt[0] > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
+        raise InvalidParameterError("samples must be increasing and uniformly spaced")
     n = values.size
     window = np.hanning(n)
     spectrum = np.abs(np.fft.rfft((values - values.mean()) * window))

@@ -141,6 +141,42 @@ def test_json_error_rendering(capsys):
     assert "transition-matrix cap 4000" in payload["error"]["message"]
 
 
+def _error_category(text, fmt):
+    if fmt == "json":
+        return json.loads(text)["error"]["category"]
+    assert text.startswith("error ["), text
+    return text[len("error [") :].split("]:", 1)[0]
+
+
+def test_out_of_memory_is_categorized(monkeypatch, capsys):
+    # numpy's _ArrayMemoryError (say --steps 1e9 under `ulimit -v`) escaped
+    # main as a traceback.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr("bogodense.cli.solve_gpe", no_memory)
+    for fmt in ("csv", "json"):
+        assert main(["ground", *FAST, "--format", fmt]) == 1, fmt
+        captured = capsys.readouterr()
+        assert captured.out == "", fmt
+        assert _error_category(captured.err, fmt) == "unsupported-regime", fmt
+        assert "out of memory: Unable to allocate 7.45 GiB" in captured.err, fmt
+
+
+def test_float_overflowing_m_total_refused(capsys):
+    # M = 1e160 overflowed (M - nbar)**2 in the oscillation law and M above
+    # 1.8e308 overflowed float(M): OverflowError tracebacks.
+    for m_total in ("1" + "0" * 160, "1" + "0" * 310):
+        for fmt in ("csv", "json"):
+            args = ["dynamics", *FAST, "--mode", "analytic", "--steps", "3",
+                    "--m-total", m_total, "--format", fmt]
+            assert main(args) == 1, (m_total, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert _error_category(captured.err, fmt) == "invalid-parameter"
+            assert "overflows a float" in captured.err
+
+
 # ------------------------------------------------------------------- ground
 
 
@@ -376,6 +412,20 @@ def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
     assert out.split("\n", 1)[0] == "t,n1_analytic"
 
 
+def test_dynamics_unstable_law_refused(capsys):
+    # At the default trap the law turns unstable between M = 109500 and
+    # 110000: without --t-max there is no period to default to, and with it
+    # the analytic trace has no closed form.
+    base = ["dynamics", "--grid-points", "800", "--steps", "3", "--mode", "analytic",
+            "--m-total", "120000"]
+    for extra, phrase in (([], "supply --t-max"), (["--t-max", "1"], "unstable at M = 120000")):
+        assert main(base + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [inapplicable-law]:"), captured.err
+        assert phrase in captured.err
+
+
 # ---------------------------------------------------------------------- bdg
 
 
@@ -442,6 +492,17 @@ def test_protocol_trajectory_csv(tmp_path):
     assert summary["m_max"] == 115
     assert summary["cycles"] == 5
     assert summary["cycle_time"] > 0
+
+
+def test_protocol_ignores_nbar(tmp_path):
+    # The protocol evaluates every coefficient at nbar = n0, so --nbar
+    # changes no byte of its output.
+    for nbar in ("100", "120"):
+        args = ["protocol", "--nbar", nbar, "--n0", "100", "--grid-points", "800",
+                "--cycles", "20", "--output", str(tmp_path / f"{nbar}.csv")]
+        assert main(args) == 0, nbar
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"100.{ext}").read_bytes() == (tmp_path / f"120.{ext}").read_bytes()
 
 
 def test_protocol_init_specs(capsys):
@@ -538,7 +599,7 @@ OWN = {
     "bdg": ({"--num-modes": _int_flag("4")}, {}),
     "dynamics": (
         {
-            "--m-total": _int_flag("300"),
+            "--m-total": st.sampled_from(["300", "0", "-3", "x", "1" + "0" * 160]),
             "--t-max": _float_flag("1.5"),
             "--mode": st.sampled_from(["exact", "analytic", "both"]),
         },
@@ -580,11 +641,7 @@ def test_main_returns_a_status_and_never_raises(argv):
     assert not numeric, (argv, numeric)
     if code == 1:
         text = err.getvalue()
-        if text.startswith("{"):
-            category = json.loads(text)["error"]["category"]
-        else:
-            assert text.startswith("error ["), (argv, text)
-            category = text[len("error [") :].split("]:", 1)[0]
+        category = _error_category(text, "json" if text.startswith("{") else "csv")
         assert category in CATEGORIES, (argv, text)
     elif code == 0 and "json" not in argv:
         cells = {c.lower() for line in out.getvalue().split("\n") for c in line.split(",")}

@@ -319,6 +319,17 @@ def test_huge_times_refused_before_stepping(case100, monkeypatch):
         mean_n1_trace(h, fock_state(120, 0), np.array([0.0, 1e300]))
 
 
+def test_trace_refuses_a_state_of_another_size(monkeypatch):
+    # The eigensystem branch died in numpy's matmul on an M = 12 state for an
+    # M = 10 Hamiltonian; the stepped branch refused through evolve_exact.
+    h = build_h01(GENERIC, 10)
+    times = np.array([0.0, 0.5])
+    for limit in (twomode._EIG_LIMIT, 5):
+        monkeypatch.setattr(twomode, "_EIG_LIMIT", limit)
+        with pytest.raises(InvalidParameterError, match="state has M = 12"):
+            mean_n1_trace(h, fock_state(12, 0), times)
+
+
 def test_trace_fallback_path_matches(case100, monkeypatch):
     co = case100["coeffs"]
     law = oscillation_law(co, 120)
@@ -470,3 +481,8 @@ def test_dominant_frequency():
         dominant_frequency(times[:4], signal[:4])
     with pytest.raises(InvalidParameterError):
         dominant_frequency(np.sqrt(times + 1.0), signal)
+    # Zero spacing divided by zero and returned inf; decreasing times gave
+    # the line with its sign flipped.
+    for bad in (np.zeros(16), np.arange(16.0)[::-1]):
+        with pytest.raises(InvalidParameterError, match="increasing"):
+            dominant_frequency(bad, np.arange(16.0))
