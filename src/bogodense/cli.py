@@ -65,33 +65,26 @@ config file (--config PATH):
 
 environment:
   BOGODENSE_THREADS caps BLAS/OpenMP parallelism (set before launch);
-  parallelism never changes output bytes.
+  parallelism never changes stdout or the --output CSV/JSON bytes, but the
+  bdg --dump-modes profiles may differ in their last digit.
 """
 
-_DEFAULTS = {
-    "mass-kg": 1.44e-25,
-    "scattering-length-m": 1.0e-8,
-    "trap-frequency-hz": 1000.0,
-    "nbar": 1.0e5,
-    "n0": 1.0e5,
+# Flag and config-file key -> (PhysicalParams field, default, help text).
+_PHYSICAL = {
+    "mass-kg": ("mass", 1.44e-25, "atomic mass [kg]"),
+    "scattering-length-m": ("scattering_length", 1.0e-8, "s-wave scattering length [m]"),
+    "trap-frequency-hz": ("trap_frequency", 1000.0, "isotropic trap frequency [Hz]"),
+    "nbar": ("nbar", 1.0e5, "mean total atom number"),
+    "n0": ("n0", 1.0e5, "mean ground-mode occupation"),
 }
-
-_FILE_KEYS = tuple(_DEFAULTS)
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     phys = common.add_argument_group("physical parameters")
     phys.add_argument("--config", metavar="PATH", help="key = value config file")
-    phys.add_argument("--mass-kg", type=float, help="atomic mass [kg]")
-    phys.add_argument(
-        "--scattering-length-m", type=float, help="s-wave scattering length [m]"
-    )
-    phys.add_argument(
-        "--trap-frequency-hz", type=float, help="isotropic trap frequency [Hz]"
-    )
-    phys.add_argument("--nbar", type=float, help="mean total atom number")
-    phys.add_argument("--n0", type=float, help="mean ground-mode occupation")
+    for key, (_, _, text) in _PHYSICAL.items():
+        phys.add_argument(f"--{key}", type=float, help=text)
     num = common.add_argument_group("numerics")
     num.add_argument("--grid-points", type=int, default=4000, help="radial nodes")
     num.add_argument(
@@ -152,9 +145,9 @@ def _build_parser():
 
 def _read_config_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, 1):
@@ -166,7 +159,7 @@ def _read_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
         key = key.strip()
         val = val.strip()
-        if key not in _FILE_KEYS:
+        if key not in _PHYSICAL:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = float(val)
@@ -185,20 +178,11 @@ def parse_config(argv=None):
     """
     args = _build_parser().parse_args(argv)
     file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(key):
+    resolved = {}
+    for key, (field, default, _) in _PHYSICAL.items():
         flag = getattr(args, key.replace("-", "_"))
-        if flag is not None:
-            return flag
-        return file_values.get(key, _DEFAULTS[key])
-
-    args.physical = PhysicalParams(
-        mass=pick("mass-kg"),
-        scattering_length=pick("scattering-length-m"),
-        trap_frequency=pick("trap-frequency-hz"),
-        nbar=pick("nbar"),
-        n0=pick("n0"),
-    )
+        resolved[field] = flag if flag is not None else file_values.get(key, default)
+    args.physical = PhysicalParams(**resolved)
     return args
 
 
@@ -246,12 +230,9 @@ def _deliver(cfg, header, columns, summary):
         sys.stdout.write(text)
 
 
-def _stages(cfg, nbar=None):
+def _stages(cfg):
     """The mean-field chain: trap units, grid, xi0, xi1 and the couplings."""
-    physical = cfg.physical
-    if nbar is not None and nbar != physical.nbar:
-        physical = replace(physical, nbar=nbar)
-    dp = to_dimensionless(physical)
+    dp = to_dimensionless(cfg.physical)
     grid = default_grid(dp, n_points=cfg.grid_points, r_max=cfg.r_max)
     gm = solve_gpe(dp, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     m1 = build_xi1(gm)
@@ -436,7 +417,8 @@ def _cmd_protocol(cfg):
     init = _initial_distribution(cfg.init, n0, cfg.m_max)
     # The protocol works at its target occupation: every coefficient is
     # evaluated with nbar = n0.
-    dp, _, _, _, coeffs = _stages(cfg, nbar=n0)
+    cfg.physical = replace(cfg.physical, nbar=n0)
+    dp, _, _, _, coeffs = _stages(cfg)
     _, _, freq = _scales(cfg, dp)
     pcfg = ProtocolConfig(n0=n0, coeffs=coeffs, cycles=cfg.cycles, m_max=init.m_max)
     result = run_protocol(init, pcfg)

@@ -114,7 +114,10 @@ def gaussian_distribution(mean, sigma, m_max):
     if sigma <= 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     m = np.arange(int(m_max) + 1)
-    probs = np.exp(-0.5 * ((m - mean) / sigma) ** 2)
+    # A tiny sigma overflows z**2 to inf off the mean, and exp(-inf) = 0 is
+    # the right weight there: the result is the point mass.
+    with np.errstate(over="ignore"):
+        probs = np.exp(-0.5 * ((m - mean) / sigma) ** 2)
     total = probs.sum()
     if total <= 0:
         raise InvalidParameterError("gaussian has no mass on 0..m_max")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bogodense.errors as errors
 from bogodense import HBAR, ConfigError
-from bogodense.cli import _DEFAULTS, main, parse_config
+from bogodense.cli import _PHYSICAL, main, parse_config
 
 FAST = ["--nbar", "100", "--n0", "100", "--grid-points", "800"]
 
@@ -34,11 +34,8 @@ def _read_csv(path):
 
 def test_defaults_applied():
     cfg = parse_config(["ground"])
-    p = cfg.physical
-    assert p.mass == _DEFAULTS["mass-kg"]
-    assert p.scattering_length == _DEFAULTS["scattering-length-m"]
-    assert p.trap_frequency == _DEFAULTS["trap-frequency-hz"]
-    assert p.nbar == _DEFAULTS["nbar"]
+    for field, default, _ in _PHYSICAL.values():
+        assert getattr(cfg.physical, field) == default, field
     assert cfg.grid_points == 4000
     assert cfg.format == "csv"
     assert not cfg.si
@@ -55,7 +52,37 @@ def test_config_file_precedence(tmp_path):
     cfg = parse_config(["ground", "--config", str(path), "--nbar", "300"])
     assert cfg.physical.nbar == 300.0  # flag beats file
     assert cfg.physical.trap_frequency == 500.0  # file beats default
-    assert cfg.physical.mass == _DEFAULTS["mass-kg"]  # default survives
+    assert cfg.physical.mass == _PHYSICAL["mass-kg"][1]  # default survives
+
+
+# Each key with the field it must land in, written out here rather than read
+# from the table, so a mis-mapped row of the table fails.
+PHYSICAL_FIELDS = [
+    ("mass-kg", "mass"),
+    ("scattering-length-m", "scattering_length"),
+    ("trap-frequency-hz", "trap_frequency"),
+    ("nbar", "nbar"),
+    ("n0", "n0"),
+]
+
+
+@pytest.mark.parametrize("key, field", PHYSICAL_FIELDS)
+def test_physical_parameter_precedence(tmp_path, key, field):
+    defaults = parse_config(["ground"]).physical
+    default = getattr(defaults, field)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {2 * default!r}\n")
+    flag = ["--" + key, repr(3 * default)]
+    for argv, expected in (
+        (["--config", str(path), *flag], 3 * default),  # flag beats file
+        (["--config", str(path)], 2 * default),  # file beats default
+        ([], default),
+    ):
+        physical = parse_config(["ground", *argv]).physical
+        assert getattr(physical, field) == expected, argv
+        for _, other in PHYSICAL_FIELDS:
+            if other != field:
+                assert getattr(physical, other) == getattr(defaults, other), (argv, other)
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -82,6 +109,26 @@ def test_config_file_missing_separator(tmp_path):
 def test_config_file_unreadable():
     with pytest.raises(ConfigError, match=r"cannot read config file"):
         parse_config(["ground", "--config", "/nonexistent/run.cfg"])
+
+
+def test_config_file_undecodable_bytes(tmp_path, capsys):
+    # A byte that is not UTF-8 ended in a UnicodeDecodeError traceback.
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"nbar = 1\xff00\n")
+    assert main(["ground", "--grid-points", "800", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error [config]: cannot read config file {path}:")
+
+
+def test_config_file_byte_order_mark(tmp_path, capsys):
+    # A file saved with a UTF-8 BOM was refused as unknown key '\ufeffnbar'.
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfnbar = 100\nn0 = 100\n")
+    assert main(["ground", "--grid-points", "800", "--config", str(path)]) == 0
+    from_file = capsys.readouterr()
+    assert main(["ground", *FAST]) == 0
+    assert from_file.err == "" and from_file.out == capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ exit codes
@@ -523,6 +570,19 @@ def test_protocol_init_specs(capsys):
     for spec in ("gaussian:inf,4", "gaussian:100,inf"):
         assert main(base + ["--init", spec]) == 1
         assert "error [config]" in capsys.readouterr().err
+
+
+def test_protocol_tiny_gaussian_is_a_point_mass(capsys):
+    # sigma = 1e-300 printed numpy's overflow warning on stderr before the
+    # point-mass table.
+    args = ["protocol", *FAST, "--cycles", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--init", "gaussian:100,1e-300"]) == 0
+    tiny = capsys.readouterr()
+    assert tiny.err == ""
+    assert main(args + ["--init", "point:100"]) == 0
+    assert tiny.out == capsys.readouterr().out
 
 
 # ----------------------------------------------------------------- figure1

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -52,6 +53,15 @@ def test_gaussian_distribution_moments():
     assert d.mean() == pytest.approx(60.0, abs=1e-6)
     assert d.variance() == pytest.approx(25.0, rel=1e-3)
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tiny_gaussian_is_the_point_mass_without_warnings():
+    # At sigma = 1e-300 the square of (m - mean)/sigma overflowed with a
+    # RuntimeWarning; every weight but the mean's is 0 all the same.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = gaussian_distribution(100.0, 1e-300, 130)
+    assert np.array_equal(d.probabilities, point_distribution(100, m_max=130).probabilities)
 
 
 def test_two_point_distribution():
