@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,15 @@ from .twomode import (
 # iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.
 _TRANSITION_CAP = 4000
 
+# Flag and config-file key -> (PhysicalParams field, default, help text).
+_PHYSICAL = {
+    "mass-kg": ("mass", 1.44e-25, "atomic mass [kg]"),
+    "scattering-length-m": ("scattering_length", 1.0e-8, "s-wave scattering length [m]"),
+    "trap-frequency-hz": ("trap_frequency", 1000.0, "isotropic trap frequency [Hz]"),
+    "nbar": ("nbar", 1.0e5, "mean total atom number"),
+    "n0": ("n0", 1.0e5, "mean ground-mode occupation"),
+}
+
 _EPILOG = """\
 physical constants:
   hbar is fixed to the 2018 CODATA value 1.054571817e-34 J s.
@@ -59,24 +69,22 @@ units:
   converts to metres, m^(-3/2) mode functions, joules, rad/s and seconds.
 
 config file (--config PATH):
-  flat `key = value` lines with # comments; keys are mass-kg,
-  scattering-length-m, trap-frequency-hz, nbar, n0.  Flags override file
-  values, file values override defaults.
+{config}
 
 environment:
   BOGODENSE_THREADS caps BLAS/OpenMP parallelism (set before launch);
   parallelism never changes stdout or the --output CSV/JSON bytes, but the
   bdg --dump-modes profiles may differ in their last digit.
-"""
-
-# Flag and config-file key -> (PhysicalParams field, default, help text).
-_PHYSICAL = {
-    "mass-kg": ("mass", 1.44e-25, "atomic mass [kg]"),
-    "scattering-length-m": ("scattering_length", 1.0e-8, "s-wave scattering length [m]"),
-    "trap-frequency-hz": ("trap_frequency", 1000.0, "isotropic trap frequency [Hz]"),
-    "nbar": ("nbar", 1.0e5, "mean total atom number"),
-    "n0": ("n0", 1.0e5, "mean ground-mode occupation"),
-}
+""".format(
+    config=textwrap.fill(
+        f"flat `key = value` lines with # comments; keys are {', '.join(_PHYSICAL)}."
+        "  Flags override file values, file values override defaults.",
+        width=78,
+        initial_indent="  ",
+        subsequent_indent="  ",
+        break_on_hyphens=False,
+    )
+)
 
 
 def _build_parser():

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import (
     InapplicableLawError,
@@ -35,8 +36,9 @@ from .errors import (
 # Chebyshev propagator between sorted times.
 _EIG_LIMIT = 4000
 _WINDOW_TOL = 1e-12
-# Samples per block of the spectral trace: a block holds a few
-# (M+1) x _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
+# Samples per block of the spectral trace, and eigenvector rows per block
+# of its window's number operator: a block holds a few window x
+# _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
 _TRACE_BLOCK = 64
 # Elements per stacked Chebyshev recursion: sectors are packed into vectors
 # of at most this length n, so its work arrays (the (5, n) DIA band, the
@@ -52,6 +54,26 @@ _TAIL_TOL = 1e-12
 # coefficients; a longer one is refused, and evolve_exact splits its time
 # into equal steps of at most half that.
 _Z_MAX = 1e6
+# A sector whose Gershgorin series runs more than _REFINE_TERMS terms is
+# scaled by a certified tight interval instead.  Its _LANCZOS_STEPS band
+# products and two banded Cholesky factorizations cost about as much as
+# 200 terms (1.5-6 ms against 6-33 us a term at M = 130-5000, one core),
+# and Gershgorin overstates the half-width by 2-18 %, so it pays from
+# about 2000 terms.  Each end starts _MARGIN Gershgorin half-widths
+# outside its Lanczos estimate and moves out by twice as much on each
+# failed certificate.
+_REFINE_TERMS = 2000
+_LANCZOS_STEPS = 40
+_MARGIN = 2e-3
+# Cholesky's backward error on a band of width p = 2 (Higham, Accuracy and
+# Stability of Numerical Algorithms, Thm 10.3, with n + 1 -> p + 2):
+# the computed L has L L^T = A + dA, |dA| <= gamma_{p+2} |L| |L^T|.
+_UNIT_ROUNDOFF = 2.0**-53
+_CHOL_GAMMA = 4.0 * _UNIT_ROUNDOFF / (1.0 - 4.0 * _UNIT_ROUNDOFF)
+# Stacked bands in DIA layout: band[d, j] is the weight of x[j] in row
+# j - _OFFSETS[d].  Row i adds x[i], x[i-2], x[i-1], x[i+1], x[i+2] to
+# its output in this order, which the tests pin.
+_OFFSETS = np.array([0, -2, -1, 1, 2], dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +81,9 @@ class TwoModeHamiltonian:
     """The band of H at total number M, checked once and read-only.
 
     The eigensystem is computed on the first eigensystem() call and cached
-    in _eig; the fields cannot change, so the cache cannot go stale.
+    in _eig, and the certified spectral interval of long Chebyshev series
+    on the first such series and cached in _interval; the fields cannot
+    change, so neither cache can go stale.
     """
 
     m_total: int
@@ -67,6 +91,7 @@ class TwoModeHamiltonian:
     off1: np.ndarray  # <n+1|H|n>, length M
     off2: np.ndarray  # <n+2|H|n>, length M-1
     _eig: tuple = field(default=None, init=False, repr=False)
+    _interval: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = self.m_total
@@ -231,38 +256,195 @@ def _bessel_series(z):
     return j[:k_stop], 2.0 * float(np.sum(np.abs(j[k_stop:])))
 
 
+def _dia_band(hs, shifts):
+    """The block-diagonal band of (H - centre) * scale over the sectors hs.
+
+    shifts holds one (centre, scale) per sector; the sectors sit one after
+    another, and the couplings between them are zero.  Returns the (5, n)
+    band in the DIA layout of _OFFSETS and the end of each sector.
+    """
+    sizes = [h.m_total + 1 for h in hs]
+    ends = np.cumsum(sizes)
+    band = np.zeros((5, int(ends[-1])))
+    for h, (centre, scale), end, size in zip(hs, shifts, ends, sizes):
+        lo = end - size
+        band[0, lo:end] = (h.diag - centre) * scale
+        band[2, lo : end - 1] = band[3, lo + 1 : end] = h.off1 * scale
+        band[1, lo : end - 2] = band[4, lo + 2 : end] = h.off2 * scale
+    return band, ends
+
+
+def _lanczos_ends(band, ends, norms):
+    """Lanczos estimates of the lowest and highest eigenvalue of each sector.
+
+    _LANCZOS_STEPS steps run on all sectors of the band at once from a
+    fixed random start per sector; the inner products are numpy reductions
+    per sector (no BLAS), so the estimates depend neither on the thread
+    count nor on the other sectors.  A sector stops when its Krylov space
+    is exhausted: after as many steps as it has rows, or when its next
+    vector is round-off next to norms, a bound on its |H|.  Ritz values
+    lie inside the spectrum up to round-off, so both estimates fall short
+    of the true ends, and _certify_end moves them out.
+    """
+    from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
+
+    n = int(ends[-1])
+    sizes = np.diff(ends, prepend=0)
+    starts = ends - sizes
+    sector = np.repeat(np.arange(sizes.size), sizes)  # sector of each row
+    q = np.concatenate([np.random.default_rng(0).standard_normal(m) for m in sizes])
+    q /= np.sqrt(np.add.reduceat(q * q, starts))[sector]
+    prev, beta = np.zeros(n), np.zeros(sizes.size)
+    live = np.ones(sizes.size, dtype=bool)
+    taken = np.zeros(sizes.size, dtype=int)
+    alphas, betas = [], []
+    for _ in range(_LANCZOS_STEPS):
+        y = prev * -beta[sector]
+        dia_matvec(n, n, 5, n, _OFFSETS, band, q, y)
+        alpha = np.add.reduceat(q * y, starts)
+        y -= alpha[sector] * q
+        beta = np.sqrt(np.add.reduceat(y * y, starts))
+        alphas.append(alpha)
+        betas.append(beta)
+        taken += live
+        live &= (taken < sizes) & (beta > 2.0**-40 * norms)
+        if not live.any():
+            break
+        inv = np.divide(1.0, beta, out=np.zeros(sizes.size), where=live)
+        prev, q = q, y * inv[sector]
+    alphas, betas = np.array(alphas), np.array(betas)
+    out = []
+    for i, k in enumerate(taken):
+        theta = eigvalsh_tridiagonal(
+            alphas[:k, i], betas[: k - 1, i], lapack_driver="sterf"
+        )
+        out.append((theta[0], theta[-1]))
+    return np.array(out).T
+
+
+def _certify_end(band, ends, guess, outer, sign):
+    """Certified bounds past one end of each sector's spectrum.
+
+    sign = +1 bounds the top: each sector's sigma starts _MARGIN outer
+    half-widths above its estimate guess, and a banded Cholesky of sigma*I - H
+    that runs to completion proves sigma - lambda_max > -|dA|, the backward
+    error of the factorization plus the rounding of the diagonal, so
+    sigma + that bound lies above the spectrum (Sylvester's law of
+    inertia; Parlett, The Symmetric Eigenvalue Problem, ch. 3).  sign = -1
+    does the same for the bottom with H - tau*I.  One dpbtrf factors all
+    sectors from the first unsettled one; the row where it fails names the
+    sector whose margin doubles.  outer = (centre, half-width) of the
+    Gershgorin intervals, whose end is the fallback and clips the bound.
+    """
+    centre, half = outer
+    wall = centre + sign * half
+    sizes = np.diff(ends, prepend=0)
+    margin = _MARGIN * half
+    end = np.array(wall)
+    first = 0
+    while first < sizes.size:
+        sigma = guess + sign * margin
+        if not sign * (wall[first] - sigma[first]) > 0.0:
+            first += 1  # no tighter end left to prove: Gershgorin's stands
+            continue
+        lo = int(ends[first] - sizes[first])
+        ab = -sign * band[[0, 2, 1], lo:]  # lower band storage of sign*(sigma - H)
+        ab[0] += sign * np.repeat(sigma[first:], sizes[first:])
+        diag = np.abs(ab[0])
+        chol, info = dpbtrf(ab, lower=1)
+        if info < 0:
+            raise IntegratorFailureError(f"dpbtrf rejected argument {-info}")
+        done = (
+            sizes.size
+            if info == 0
+            else int(np.searchsorted(ends, lo + info - 1, side="right"))
+        )
+        if done > first:
+            # |L| |L^T| by rows, for the sectors the factorization completed.
+            cols = int(ends[done - 1]) - lo
+            mag = np.abs(chol[:, :cols])
+            col = mag.sum(axis=0)
+            rows = mag[0] * col
+            rows[1:] += mag[1, :-1] * col[:-1]
+            rows[2:] += mag[2, :-2] * col[:-2]
+            at = ends[first:done] - sizes[first:done] - lo
+            err = _CHOL_GAMMA * np.maximum.reduceat(rows, at) + _UNIT_ROUNDOFF * (
+                np.maximum.reduceat(diag[:cols], at)
+            )
+            err += 2.0 * _UNIT_ROUNDOFF * np.abs(sigma[first:done])
+            proven = sigma[first:done] + sign * err
+            end[first:done] = np.where(
+                sign * (wall[first:done] - proven) > 0.0, proven, wall[first:done]
+            )
+        if done < sizes.size:
+            # A margin too small to move sigma any further gives up at once.
+            grown = guess[done] + sign * 2.0 * margin[done]
+            margin[done] = 2.0 * margin[done] if grown != sigma[done] else np.inf
+        first = done
+    return end
+
+
+def _certified(hs):
+    """The certified (centre, half-width) of each h's spectrum.
+
+    Computed once for all h without one and cached on h: Lanczos estimates
+    of both ends, each moved out until a banded Cholesky certifies it,
+    inside the Gershgorin interval, which stays the outer bracket.  Each
+    sector's interval depends on that sector alone.
+    """
+    todo = list({id(h): h for h in hs if h._interval is None}.values())
+    if todo:
+        band, ends = _dia_band(todo, [(0.0, 1.0)] * len(todo))
+        outer = np.array([_gershgorin(h) for h in todo]).T
+        low, high = _lanczos_ends(band, ends, np.abs(outer[0]) + outer[1])
+        hi = _certify_end(band, ends, high, outer, 1.0)
+        lo = _certify_end(band, ends, low, outer, -1.0)
+        for h, a, b in zip(todo, lo, hi):
+            object.__setattr__(h, "_interval", (float(b + a) / 2.0, float(b - a) / 2.0))
+    return [h._interval for h in hs]
+
+
+def _intervals(hs, t):
+    """Centre and half-width of the interval that scales each h at time t.
+
+    A sector whose Gershgorin series, z = half-width * |t| terms, is at
+    most _REFINE_TERMS long keeps its Gershgorin interval; a longer one
+    takes its certified interval (_certified).  The choice depends on the
+    sector alone, so its series is the same alone or stacked.
+    """
+    gersh = [_gershgorin(h) for h in hs]
+    long = [half * abs(t) > _REFINE_TERMS for _, half in gersh]
+    certified = iter(_certified([h for h, wide in zip(hs, long) if wide]))
+    return [next(certified) if wide else g for g, wide in zip(gersh, long)]
+
+
 def _propagate_block(stack, t):
     """(exp(-iHt) x, tail) for each (H, real x) pair, in one recursion.
 
     The sectors sit one after another in one vector, and their banded
     matrices along the diagonal of one block-banded matrix whose couplings
     vanish between sectors.  Each sector is scaled to [-1, 1] by its own
-    Gershgorin interval, so it keeps its own z and its own number of terms;
-    past them its coefficients are zero.  Element by element the arithmetic
-    does not depend on the other sectors, so a sector's result is the same
-    alone or stacked.  Each term is one in-place banded product, scipy's
-    DIA kernel y += A x on y = -T_{k-1}.
+    interval (_intervals: Gershgorin for a short series, a certified tight
+    interval for a long one), so it keeps its own z and its own number of
+    terms; past them its coefficients are zero.  Element by element the
+    arithmetic does not depend on the other sectors, so a sector's result
+    is the same alone or stacked.  Each term is one in-place banded
+    product, scipy's DIA kernel y += A x on y = -T_{k-1}.
     """
     from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
 
-    sizes = [h.m_total + 1 for h, _ in stack]
-    ends = np.cumsum(sizes)
+    hs = [h for h, _ in stack]
+    intervals = _intervals(hs, t)
+    # 2*H_s, H_s = (H - centre)/half-width.
+    band, ends = _dia_band(
+        hs, [(c, 2.0 / half if half > 0.0 else 0.0) for c, half in intervals]
+    )
+    sizes = [h.m_total + 1 for h in hs]
     n = int(ends[-1])
-    # 2*H_s, H_s = (H - centre)/half-width, in DIA layout: band[d, j] is the
-    # weight of x[j] in row j - offsets[d].  Row i adds x[i], x[i-2], x[i-1],
-    # x[i+1], x[i+2] to -T_{k-1}[i] in this order, which the tests pin.
-    offsets = np.array([0, -2, -1, 1, 2], dtype=np.int32)
-    band = np.zeros((5, n))
     x = np.zeros((2, n))  # T_{k-1}, T_k
     coef, tails, turns = [], [], []
-    for (h, start), end, size in zip(stack, ends, sizes):
-        lo = end - size
-        centre, half = _gershgorin(h)
-        scale = 2.0 / half if half > 0.0 else 0.0
-        band[0, lo:end] = (h.diag - centre) * scale
-        band[2, lo : end - 1] = band[3, lo + 1 : end] = h.off1 * scale
-        band[1, lo : end - 2] = band[4, lo + 2 : end] = h.off2 * scale
-        x[1, lo:end] = start
+    for (_, start), end, size, (centre, half) in zip(stack, ends, sizes, intervals):
+        x[1, end - size : end] = start
         turns.append((math.cos(centre * t), -math.sin(centre * t)))
         # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
         # with z = half-width * t, and J_k(-z) = (-1)^k J_k(z).
@@ -294,7 +476,7 @@ def _propagate_block(stack, t):
         # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
         # T_1 = H_s T_0.
         np.negative(y, out=y)
-        dia_matvec(n, n, 5, n, offsets, band, cur, y)
+        dia_matvec(n, n, 5, n, _OFFSETS, band, cur, y)
         if k == 0:
             y *= 0.5
     out = []
@@ -310,7 +492,11 @@ def propagate(sectors, t):
     Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
     its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
-    start norm.  Consecutive sectors are stacked into recursions of at most
+    start norm.  A series runs about z = half-width * |t| terms of the
+    interval that holds the spectrum: Gershgorin's for a short series, a
+    certified tight one, cached on H, for a long one (_intervals; the
+    certificate too sums with numpy reductions and unblocked banded LAPACK,
+    not threaded BLAS).  Consecutive sectors are stacked into recursions of at most
     _STACK_LIMIT elements (a larger sector runs alone), and only one stack
     is held at a time.  Each term of a recursion is one in-place banded
     product (scipy's DIA kernel, no BLAS), which sums every row in a fixed
@@ -339,7 +525,8 @@ def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
     The Chebyshev propagator acts on the band at every size, in equal
-    steps of at most _Z_MAX / 2 terms each; a complex state runs its real
+    steps of at most _Z_MAX / 2 terms each, counted on the interval that
+    scales the series (_intervals); a complex state runs its real
     and imaginary parts through one stacked recursion.  The state's
     error_bound grows by the truncation bound of each series.
     """
@@ -348,7 +535,7 @@ def evolve_exact(h, s0, t):
         raise InvalidParameterError(f"time must be finite, got {t}")
     if t == 0.0:
         return s0
-    steps = _gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)
+    steps = _intervals([h], t)[0][1] * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:
@@ -421,9 +608,11 @@ def mean_n1_trace(h, s0, times):
     keeps only the contiguous window of eigenmodes that s0 occupies: the
     weight left out, delta^2, keeps M*(2*delta + delta^2) <= _WINDOW_TOL
     for a unit s0, which bounds the change of every sample (see
-    _trace_window, which uses the norm of s0 in place of 1).  The
-    window is a view of the eigenvectors, so nothing is copied.  Above
-    _EIG_LIMIT it steps the Chebyshev propagator through the sorted times.
+    _trace_window, which uses the norm of s0 in place of 1).  The number
+    operator is projected on the window once, N_W = v_W^T diag(n) v_W, so
+    each block of samples costs two window x window products instead of
+    two dimension x window ones.  Above _EIG_LIMIT it steps the Chebyshev
+    propagator through the sorted times.
     """
     _check_state(h, s0)
     times = np.asarray(times, dtype=float)
@@ -432,21 +621,29 @@ def mean_n1_trace(h, s0, times):
     n = np.arange(h.m_total + 1, dtype=float)
     out = np.empty(times.shape)
     if h.m_total <= _EIG_LIMIT:
-        # Real GEMMs over blocks of samples: exp(-iwt) c0 is split into its
-        # real and imaginary parts so that v is never copied to complex,
-        # and no (dimension x samples) array is held at once.
+        # In the window, <N>(t) = x_r^T N_W x_r + x_i^T N_W x_i with
+        # N_W = v_W^T diag(n) v_W and x = exp(-iwt) c0 split into its real
+        # and imaginary parts, so v is never copied to complex.  N_W is
+        # summed over row blocks of v_W, and the samples go in blocks, so
+        # no (dimension x window) or (dimension x samples) array is held.
         w, v = h.eigensystem()
         _check_phases(float(np.max(np.abs(w))), times)
         cr = v.T @ s0.amplitudes.real
         ci = v.T @ s0.amplitudes.imag
         a, b, _ = _trace_window(cr, ci, h.m_total)
-        w, v, cr, ci = w[a:b], v[:, a:b], cr[a:b], ci[a:b]
+        w, cr, ci = w[a:b], cr[a:b], ci[a:b]
+        number = np.zeros((b - a, b - a))
+        for lo in range(0, n.size, _TRACE_BLOCK):
+            rows = v[lo : lo + _TRACE_BLOCK, a:b]
+            number += rows.T @ (n[lo : lo + _TRACE_BLOCK, None] * rows)
         for lo in range(0, times.size, _TRACE_BLOCK):
             phase = np.outer(w, times[lo : lo + _TRACE_BLOCK])
             cos, sin = np.cos(phase), np.sin(phase)
-            re = v @ (cos * cr[:, None] + sin * ci[:, None])
-            im = v @ (cos * ci[:, None] - sin * cr[:, None])
-            out[lo : lo + _TRACE_BLOCK] = n @ (re**2 + im**2)
+            re = cos * cr[:, None] + sin * ci[:, None]
+            im = cos * ci[:, None] - sin * cr[:, None]
+            out[lo : lo + _TRACE_BLOCK] = np.sum(re * (number @ re), axis=0) + np.sum(
+                im * (number @ im), axis=0
+            )
         # At t = 0 the state is s0 itself, as in evolve_exact; the GEMMs
         # would leave round-off there that depends on the BLAS thread count.
         out[times == 0.0] = mean_n1(s0)

@@ -131,6 +131,15 @@ def test_config_file_byte_order_mark(tmp_path, capsys):
     assert from_file.err == "" and from_file.out == capsys.readouterr().out
 
 
+def test_help_names_exactly_the_config_keys(capsys):
+    # The epilog listed the keys by hand beside _PHYSICAL, so a renamed row
+    # would have left --help naming a key the file reader refuses.
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    keys = text.split("keys are ", 1)[1].split(". ", 1)[0]
+    assert keys.split(", ") == list(_PHYSICAL)
+
+
 # ------------------------------------------------------------------ exit codes
 
 

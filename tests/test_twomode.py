@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,35 +268,127 @@ def test_long_times_run_in_steps(monkeypatch):
     assert np.max(np.abs(got.amplitudes - want)) < 1e-10
 
 
+# Reference-trap coefficients at nbar = 1e4 (oracles.solve_case(1e4),
+# pinned to full precision).  At M = 5000 from |M,0> to t = pi/w'(1e4) the
+# Gershgorin series would take 21764 terms and the certified one takes
+# 18545.
+LARGE = dict(
+    alpha2=0.002197847795460061,
+    alpha3=5.747136986882019e-06,
+    alpha4=1.639517340057026e-08,
+    beta=1044.5027475804882,
+    gamma=0.0007024634974135556,
+    mu1=14.929111429419994,
+    mu=14.434968020593848,
+    g01=0.00035239795306456304,
+    nbar=10000.0,
+)
+LARGE_DIGEST = "9601ade99059d4ffa0f0b47b383051ac8d301cd31bfd5f4a2e3e7ce17f13b6ff"
+
+
 def test_large_dimension_matches_dense_eigensolution():
     # Above the eigensolver limit a step-count heuristic once returned
-    # <n1> = 565.5 for this case; the Chebyshev series takes about 21800
-    # terms.  Reference-trap coefficients at nbar = 1e4
-    # (oracles.solve_case(1e4), pinned to full precision), M = 5000, start
-    # |M,0>, t = pi/w'(1e4).  The pinned <n1> comes from a one-off dense
-    # solve of the same Hamiltonian: scipy.linalg.eig_banded on
+    # <n1> = 565.5 for this case.  The pinned <n1> comes from a one-off
+    # dense solve of the same Hamiltonian: scipy.linalg.eig_banded on
     # h.to_banded_lower() for all 5001 eigenpairs (w, v), amplitudes
     # v @ (exp(-i w t) * v[0]), <n1> = sum_n n |amp_n|^2.  The digest pins
-    # the amplitude bytes of the Chebyshev recursion itself, the same at 1
-    # and at 2 BLAS threads: a faster recursion must sum every row in the
-    # same order.
-    co = CouplingCoefficients(
-        alpha2=0.002197847795460061,
-        alpha3=5.747136986882019e-06,
-        alpha4=1.639517340057026e-08,
-        beta=1044.5027475804882,
-        gamma=0.0007024634974135556,
-        mu1=14.929111429419994,
-        mu=14.434968020593848,
-        g01=0.00035239795306456304,
-        nbar=10000.0,
-    )
+    # the amplitude bytes of the Chebyshev recursion itself: a faster
+    # recursion must sum every row in the same order.  The term counts pin
+    # the series length, so a tighter interval shows as a count.
+    co = CouplingCoefficients(**LARGE)
     t = math.pi / oscillation_law(co, 10000).omega_prime
-    s = evolve_exact(build_h01(co, 5000), fock_state(5000, 0), t)
+    h = build_h01(co, 5000)
+    (_, half), = twomode._intervals([h], t)
+    assert twomode._bessel_series(twomode._gershgorin(h)[1] * t)[0].size == 21764
+    assert twomode._bessel_series(half * t)[0].size == 18545
+    s = evolve_exact(h, fock_state(5000, 0), t)
     assert mean_n1(s) == pytest.approx(263.14163520628176, rel=1e-8)
-    assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == (
-        "466c516a0d963356ca828c27da1010b3d230e24bf7a798077f6de8165ca16cbc"
+    assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == LARGE_DIGEST
+
+
+def test_large_dimension_bytes_independent_of_thread_count():
+    # The certified interval takes its inner products as numpy reductions
+    # and factors with unblocked banded LAPACK, so the series, and every
+    # amplitude bit, is the same at 1 and at 2 BLAS threads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import hashlib, math, bogodense as bd\n"
+        f"co = bd.CouplingCoefficients(**{LARGE!r})\n"
+        "t = math.pi / bd.oscillation_law(co, 10000).omega_prime\n"
+        "s = bd.evolve_exact(bd.build_h01(co, 5000), bd.fock_state(5000, 0), t)\n"
+        "print(hashlib.sha256(s.amplitudes.tobytes()).hexdigest())\n"
     )
+    # Both interpreters run at once, so the test takes about one run.
+    procs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", code], env=dict(env, BOGODENSE_THREADS=threads),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for threads in ("1", "2")
+    }
+    for threads, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        assert out.decode().strip() == LARGE_DIGEST, threads
+
+
+def _check_interval(h, interval):
+    """The interval holds every dense eigenvalue and lies inside Gershgorin's.
+
+    Both hold up to a few units of round-off in |H|: eigvalsh's own error
+    and the (centre, half-width) form, where an end that falls back on a
+    Gershgorin end touching the spectrum (a diagonal H) may move an ulp.
+    """
+    centre, half = interval
+    w = np.linalg.eigvalsh(h.to_dense())
+    g_centre, g_half = twomode._gershgorin(h)
+    ulps = 8.0 * np.finfo(float).eps * (abs(g_centre) + g_half)
+    assert centre - half <= w[0] + ulps and w[-1] - ulps <= centre + half
+    assert g_centre - g_half - ulps <= centre - half
+    assert centre + half <= g_centre + g_half + ulps
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    gamma=st.floats(0.0, 0.05),
+    mu=st.floats(-3.0, 3.0),
+    mu1=st.floats(-3.0, 3.0),
+    g01=st.floats(-0.05, 0.05),
+    alpha2=st.floats(0.01, 0.5),
+    nbar=st.floats(0.0, 60.0),
+)
+def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, nbar):
+    co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
+    h = build_h01(co, m)
+    _check_interval(h, twomode._certified([h])[0])
+
+
+def test_too_small_margin_fails_then_certifies(case100, monkeypatch):
+    # With a margin far below the Lanczos error the first factorization
+    # fails; the margin doubles until one succeeds, and the end it proves
+    # still holds the spectrum.
+    infos = []
+    dpbtrf = twomode.dpbtrf
+
+    def recorded(ab, lower):
+        out = dpbtrf(ab, lower=lower)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(twomode, "dpbtrf", recorded)
+    monkeypatch.setattr(twomode, "_MARGIN", 1e-12)
+    h = build_h01(case100["coeffs"], 300)
+    _check_interval(h, twomode._certified([h])[0])
+    assert infos[0] > 0 and infos[-1] == 0
+    # Two sectors stacked: each keeps the interval it has alone.
+    pair = [build_h01(case100["coeffs"], 300), build_h01(GENERIC, 40)]
+    alone = build_h01(GENERIC, 40)
+    assert twomode._certified(pair) == [h._interval, twomode._certified([alone])[0]]
 
 
 def test_overflowing_phases_rejected():
