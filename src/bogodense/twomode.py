@@ -56,10 +56,14 @@ _TAIL_TOL = 1e-12
 _Z_MAX = 1e6
 # A sector whose Gershgorin series runs more than _REFINE_TERMS terms is
 # scaled by a certified tight interval instead.  Its _LANCZOS_STEPS band
-# products and two banded Cholesky factorizations cost about as much as
-# 200 terms (1.5-6 ms against 6-33 us a term at M = 130-5000, one core),
-# and Gershgorin overstates the half-width by 2-18 %, so it pays from
-# about 2000 terms.  Each end starts _MARGIN Gershgorin half-widths
+# products and two banded Cholesky factorizations cost 1-2.5 ms at
+# M = 400-5000 (one core), as much as 200-400 terms of the sector in a
+# stacked recursion, and Gershgorin overstates the half-width by 2-18 %,
+# so it pays from about 2000 terms: a protocol at n0 = 1000, whose top
+# 216 sectors run 2000-2600 terms, builds its kernels in the same time
+# either way, and one at n0 = 3000 (up to 11000 terms) 7 % faster.
+# The certificates run one Hamiltonian at a time: each costs at most a
+# few per cent of the series it shortens.  Each end starts _MARGIN Gershgorin half-widths
 # outside its Lanczos estimate and moves out by twice as much on each
 # failed certificate.
 _REFINE_TERMS = 2000
@@ -274,134 +278,96 @@ def _dia_band(hs, shifts):
     return band, ends
 
 
-def _lanczos_ends(band, ends, norms):
-    """Lanczos estimates of the lowest and highest eigenvalue of each sector.
+def _lanczos_ends(band, norm):
+    """Lanczos estimates of the lowest and highest eigenvalue of one H.
 
-    _LANCZOS_STEPS steps run on all sectors of the band at once from a
-    fixed random start per sector; the inner products are numpy reductions
-    per sector (no BLAS), so the estimates depend neither on the thread
-    count nor on the other sectors.  A sector stops when its Krylov space
-    is exhausted: after as many steps as it has rows, or when its next
-    vector is round-off next to norms, a bound on its |H|.  Ritz values
-    lie inside the spectrum up to round-off, so both estimates fall short
-    of the true ends, and _certify_end moves them out.
+    band is H's DIA band.  _LANCZOS_STEPS steps run from a fixed random
+    start; the inner products are numpy sums (no BLAS), so the estimates
+    do not depend on the thread count.  The run stops early when the
+    Krylov space is exhausted: after as many steps as H has rows, or when
+    the next vector is round-off next to norm, a bound on |H|.  Ritz
+    values lie inside the spectrum up to round-off, so both estimates
+    fall short of the true ends, and _certify_end moves them out.
     """
     from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
 
-    n = int(ends[-1])
-    sizes = np.diff(ends, prepend=0)
-    starts = ends - sizes
-    sector = np.repeat(np.arange(sizes.size), sizes)  # sector of each row
-    q = np.concatenate([np.random.default_rng(0).standard_normal(m) for m in sizes])
-    q /= np.sqrt(np.add.reduceat(q * q, starts))[sector]
-    prev, beta = np.zeros(n), np.zeros(sizes.size)
-    live = np.ones(sizes.size, dtype=bool)
-    taken = np.zeros(sizes.size, dtype=int)
+    n = band.shape[1]
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= math.sqrt(np.sum(q * q))
+    prev, beta = np.zeros(n), 0.0
     alphas, betas = [], []
-    for _ in range(_LANCZOS_STEPS):
-        y = prev * -beta[sector]
+    for _ in range(min(_LANCZOS_STEPS, n)):
+        y = prev * -beta
         dia_matvec(n, n, 5, n, _OFFSETS, band, q, y)
-        alpha = np.add.reduceat(q * y, starts)
-        y -= alpha[sector] * q
-        beta = np.sqrt(np.add.reduceat(y * y, starts))
+        alpha = float(np.sum(q * y))
+        y -= alpha * q
+        beta = math.sqrt(np.sum(y * y))
         alphas.append(alpha)
         betas.append(beta)
-        taken += live
-        live &= (taken < sizes) & (beta > 2.0**-40 * norms)
-        if not live.any():
+        if not beta > 2.0**-40 * norm:
             break
-        inv = np.divide(1.0, beta, out=np.zeros(sizes.size), where=live)
-        prev, q = q, y * inv[sector]
-    alphas, betas = np.array(alphas), np.array(betas)
-    out = []
-    for i, k in enumerate(taken):
-        theta = eigvalsh_tridiagonal(
-            alphas[:k, i], betas[: k - 1, i], lapack_driver="sterf"
-        )
-        out.append((theta[0], theta[-1]))
-    return np.array(out).T
+        prev, q = q, y * (1.0 / beta)
+    theta = eigvalsh_tridiagonal(alphas, betas[:-1], lapack_driver="sterf")
+    return theta[0], theta[-1]
 
 
-def _certify_end(band, ends, guess, outer, sign):
-    """Certified bounds past one end of each sector's spectrum.
+def _certify_end(band, guess, outer, sign):
+    """A certified bound past one end of the spectrum of one H.
 
-    sign = +1 bounds the top: each sector's sigma starts _MARGIN outer
-    half-widths above its estimate guess, and a banded Cholesky of sigma*I - H
-    that runs to completion proves sigma - lambda_max > -|dA|, the backward
-    error of the factorization plus the rounding of the diagonal, so
-    sigma + that bound lies above the spectrum (Sylvester's law of
-    inertia; Parlett, The Symmetric Eigenvalue Problem, ch. 3).  sign = -1
-    does the same for the bottom with H - tau*I.  One dpbtrf factors all
-    sectors from the first unsettled one; the row where it fails names the
-    sector whose margin doubles.  outer = (centre, half-width) of the
-    Gershgorin intervals, whose end is the fallback and clips the bound.
+    sign = +1 bounds the top: sigma starts _MARGIN outer half-widths above
+    the estimate guess, and a banded Cholesky of sigma*I - H that runs to
+    completion proves sigma - lambda_max > -|dA|, the backward error of the
+    factorization plus the rounding of the diagonal, so sigma + that bound
+    lies above the spectrum (Sylvester's law of inertia; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 3).  sign = -1 does the same for the
+    bottom with H - tau*I.  Each failed factorization doubles the margin.
+    outer = (centre, half-width) of the Gershgorin interval, whose end is
+    the fallback and clips the bound.
     """
     centre, half = outer
     wall = centre + sign * half
-    sizes = np.diff(ends, prepend=0)
     margin = _MARGIN * half
-    end = np.array(wall)
-    first = 0
-    while first < sizes.size:
+    while True:
         sigma = guess + sign * margin
-        if not sign * (wall[first] - sigma[first]) > 0.0:
-            first += 1  # no tighter end left to prove: Gershgorin's stands
-            continue
-        lo = int(ends[first] - sizes[first])
-        ab = -sign * band[[0, 2, 1], lo:]  # lower band storage of sign*(sigma - H)
-        ab[0] += sign * np.repeat(sigma[first:], sizes[first:])
-        diag = np.abs(ab[0])
+        if not sign * (wall - sigma) > 0.0:
+            return wall  # no tighter end left to prove: Gershgorin's stands
+        ab = -sign * band[[0, 2, 1]]  # lower band storage of sign*(sigma - H)
+        ab[0] += sign * sigma
         chol, info = dpbtrf(ab, lower=1)
         if info < 0:
             raise IntegratorFailureError(f"dpbtrf rejected argument {-info}")
-        done = (
-            sizes.size
-            if info == 0
-            else int(np.searchsorted(ends, lo + info - 1, side="right"))
-        )
-        if done > first:
-            # |L| |L^T| by rows, for the sectors the factorization completed.
-            cols = int(ends[done - 1]) - lo
-            mag = np.abs(chol[:, :cols])
-            col = mag.sum(axis=0)
-            rows = mag[0] * col
-            rows[1:] += mag[1, :-1] * col[:-1]
-            rows[2:] += mag[2, :-2] * col[:-2]
-            at = ends[first:done] - sizes[first:done] - lo
-            err = _CHOL_GAMMA * np.maximum.reduceat(rows, at) + _UNIT_ROUNDOFF * (
-                np.maximum.reduceat(diag[:cols], at)
-            )
-            err += 2.0 * _UNIT_ROUNDOFF * np.abs(sigma[first:done])
-            proven = sigma[first:done] + sign * err
-            end[first:done] = np.where(
-                sign * (wall[first:done] - proven) > 0.0, proven, wall[first:done]
-            )
-        if done < sizes.size:
-            # A margin too small to move sigma any further gives up at once.
-            grown = guess[done] + sign * 2.0 * margin[done]
-            margin[done] = 2.0 * margin[done] if grown != sigma[done] else np.inf
-        first = done
-    return end
+        if info == 0:
+            break
+        # A margin too small to move sigma any further gives up at once.
+        if guess + sign * 2.0 * margin == sigma:
+            return wall
+        margin *= 2.0
+    # The largest row sum of |L| |L^T|.
+    mag = np.abs(chol)
+    col = mag.sum(axis=0)
+    rows = mag[0] * col
+    rows[1:] += mag[1, :-1] * col[:-1]
+    rows[2:] += mag[2, :-2] * col[:-2]
+    err = _CHOL_GAMMA * np.max(rows) + _UNIT_ROUNDOFF * np.max(np.abs(ab[0]))
+    proven = sigma + sign * (err + 2.0 * _UNIT_ROUNDOFF * abs(sigma))
+    return proven if sign * (wall - proven) > 0.0 else wall
 
 
-def _certified(hs):
-    """The certified (centre, half-width) of each h's spectrum.
+def _certified(h):
+    """The certified (centre, half-width) of h's spectrum, cached on h.
 
-    Computed once for all h without one and cached on h: Lanczos estimates
-    of both ends, each moved out until a banded Cholesky certifies it,
-    inside the Gershgorin interval, which stays the outer bracket.  Each
-    sector's interval depends on that sector alone.
+    Lanczos estimates of both ends, each moved out until a banded Cholesky
+    certifies it, inside the Gershgorin interval, which stays the outer
+    bracket.
     """
-    todo = list({id(h): h for h in hs if h._interval is None}.values())
-    if todo:
-        band, ends = _dia_band(todo, [(0.0, 1.0)] * len(todo))
-        outer = np.array([_gershgorin(h) for h in todo]).T
-        low, high = _lanczos_ends(band, ends, np.abs(outer[0]) + outer[1])
-        hi = _certify_end(band, ends, high, outer, 1.0)
-        lo = _certify_end(band, ends, low, outer, -1.0)
-        for h, a, b in zip(todo, lo, hi):
-            object.__setattr__(h, "_interval", (float(b + a) / 2.0, float(b - a) / 2.0))
-    return [h._interval for h in hs]
+    if h._interval is None:
+        band, _ = _dia_band([h], [(0.0, 1.0)])
+        outer = _gershgorin(h)
+        low, high = _lanczos_ends(band, abs(outer[0]) + outer[1])
+        a = _certify_end(band, low, outer, -1.0)
+        b = _certify_end(band, high, outer, 1.0)
+        object.__setattr__(h, "_interval", (float(b + a) / 2.0, float(b - a) / 2.0))
+    return h._interval
 
 
 def _intervals(hs, t):
@@ -412,10 +378,11 @@ def _intervals(hs, t):
     takes its certified interval (_certified).  The choice depends on the
     sector alone, so its series is the same alone or stacked.
     """
-    gersh = [_gershgorin(h) for h in hs]
-    long = [half * abs(t) > _REFINE_TERMS for _, half in gersh]
-    certified = iter(_certified([h for h, wide in zip(hs, long) if wide]))
-    return [next(certified) if wide else g for g, wide in zip(gersh, long)]
+    out = []
+    for h in hs:
+        gersh = _gershgorin(h)
+        out.append(_certified(h) if gersh[1] * abs(t) > _REFINE_TERMS else gersh)
+    return out
 
 
 def _propagate_block(stack, t):
@@ -611,7 +578,12 @@ def mean_n1_trace(h, s0, times):
     _trace_window, which uses the norm of s0 in place of 1).  The number
     operator is projected on the window once, N_W = v_W^T diag(n) v_W, so
     each block of samples costs two window x window products instead of
-    two dimension x window ones.  Above _EIG_LIMIT it steps the Chebyshev
+    two dimension x window ones.  Forming N_W costs about (M+1) W^2
+    multiply-adds up front, so this gains only when the samples are many
+    next to the window W: roughly more than W/2 to W of them (measured,
+    one core: criterion 2's M = 1000, W = 225 traces of 401 and 2048
+    samples gain; at M = 4000, W = 1915 a 401-sample trace loses about
+    1 s beside 36 s of eig_banded).  Above _EIG_LIMIT it steps the Chebyshev
     propagator through the sorted times.
     """
     _check_state(h, s0)

@@ -283,7 +283,7 @@ LARGE = dict(
     g01=0.00035239795306456304,
     nbar=10000.0,
 )
-LARGE_DIGEST = "9601ade99059d4ffa0f0b47b383051ac8d301cd31bfd5f4a2e3e7ce17f13b6ff"
+LARGE_DIGEST = "1edda5a99354959ec6ddc9557f6c4d7320de49c1eb6c370f91b4cb4a26307b3b"
 
 
 def test_large_dimension_matches_dense_eigensolution():
@@ -365,7 +365,7 @@ def _check_interval(h, interval):
 def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, nbar):
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
     h = build_h01(co, m)
-    _check_interval(h, twomode._certified([h])[0])
+    _check_interval(h, twomode._certified(h))
 
 
 def test_too_small_margin_fails_then_certifies(case100, monkeypatch):
@@ -383,12 +383,8 @@ def test_too_small_margin_fails_then_certifies(case100, monkeypatch):
     monkeypatch.setattr(twomode, "dpbtrf", recorded)
     monkeypatch.setattr(twomode, "_MARGIN", 1e-12)
     h = build_h01(case100["coeffs"], 300)
-    _check_interval(h, twomode._certified([h])[0])
+    _check_interval(h, twomode._certified(h))
     assert infos[0] > 0 and infos[-1] == 0
-    # Two sectors stacked: each keeps the interval it has alone.
-    pair = [build_h01(case100["coeffs"], 300), build_h01(GENERIC, 40)]
-    alone = build_h01(GENERIC, 40)
-    assert twomode._certified(pair) == [h._interval, twomode._certified([alone])[0]]
 
 
 def test_overflowing_phases_rejected():
