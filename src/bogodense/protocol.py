@@ -181,8 +181,10 @@ class ProtocolConfig:
         """The kernels of the sectors M in ms, in the order of ms.
 
         The sectors run in descending M through stacked Chebyshev
-        recursions, each with its own spectral scale and number of terms,
-        so every kernel is the same as when built alone.
+        recursions.  Each sector keeps its own spectral centre and a stack
+        runs the one series of its widest half-width, so a kernel agrees
+        with the one built alone to round-off, and the kernels depend only
+        on ms.
         """
         ms = list(ms)
         for m in ms:

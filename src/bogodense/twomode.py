@@ -63,9 +63,9 @@ _Z_MAX = 1e6
 # 216 sectors run 2000-2600 terms, builds its kernels in the same time
 # either way, and one at n0 = 3000 (up to 11000 terms) 7 % faster.
 # The certificates run one Hamiltonian at a time: each costs at most a
-# few per cent of the series it shortens.  Each end starts _MARGIN Gershgorin half-widths
-# outside its Lanczos estimate and moves out by twice as much on each
-# failed certificate.
+# few per cent of the series it shortens.  Each end starts _MARGIN
+# Gershgorin half-widths outside its Lanczos estimate and moves out by
+# twice as much on each failed certificate.
 _REFINE_TERMS = 2000
 _LANCZOS_STEPS = 40
 _MARGIN = 2e-3
@@ -260,17 +260,17 @@ def _bessel_series(z):
     return j[:k_stop], 2.0 * float(np.sum(np.abs(j[k_stop:])))
 
 
-def _dia_band(hs, shifts):
+def _dia_band(hs, centres, scale):
     """The block-diagonal band of (H - centre) * scale over the sectors hs.
 
-    shifts holds one (centre, scale) per sector; the sectors sit one after
-    another, and the couplings between them are zero.  Returns the (5, n)
-    band in the DIA layout of _OFFSETS and the end of each sector.
+    centres holds each sector's centre, and scale is shared; the sectors
+    sit one after another, with zero couplings between them.  Returns the
+    (5, n) band in the DIA layout of _OFFSETS and the end of each sector.
     """
     sizes = [h.m_total + 1 for h in hs]
     ends = np.cumsum(sizes)
     band = np.zeros((5, int(ends[-1])))
-    for h, (centre, scale), end, size in zip(hs, shifts, ends, sizes):
+    for h, centre, end, size in zip(hs, centres, ends, sizes):
         lo = end - size
         band[0, lo:end] = (h.diag - centre) * scale
         band[2, lo : end - 1] = band[3, lo + 1 : end] = h.off1 * scale
@@ -361,7 +361,7 @@ def _certified(h):
     bracket.
     """
     if h._interval is None:
-        band, _ = _dia_band([h], [(0.0, 1.0)])
+        band, _ = _dia_band([h], [0.0], 1.0)
         outer = _gershgorin(h)
         low, high = _lanczos_ends(band, abs(outer[0]) + outer[1])
         a = _certify_end(band, low, outer, -1.0)
@@ -376,7 +376,8 @@ def _intervals(hs, t):
     A sector whose Gershgorin series, z = half-width * |t| terms, is at
     most _REFINE_TERMS long keeps its Gershgorin interval; a longer one
     takes its certified interval (_certified).  The choice depends on the
-    sector alone, so its series is the same alone or stacked.
+    sector alone; a stack then runs the series of its widest half-width
+    (_propagate_block).
     """
     out = []
     for h in hs:
@@ -390,55 +391,42 @@ def _propagate_block(stack, t):
 
     The sectors sit one after another in one vector, and their banded
     matrices along the diagonal of one block-banded matrix whose couplings
-    vanish between sectors.  Each sector is scaled to [-1, 1] by its own
-    interval (_intervals: Gershgorin for a short series, a certified tight
-    interval for a long one), so it keeps its own z and its own number of
-    terms; past them its coefficients are zero.  Element by element the
-    arithmetic does not depend on the other sectors, so a sector's result
-    is the same alone or stacked.  Each term is one in-place banded
-    product, scipy's DIA kernel y += A x on y = -T_{k-1}.
+    vanish between sectors.  Each sector is shifted by the centre of its
+    interval (_intervals), and the stack is scaled by its widest
+    half-width, so every sector's spectrum lies in [-1, 1] and one series,
+    z = widest half-width * |t|, with one truncation bound, serves them
+    all.  Each term is one in-place banded product, scipy's DIA kernel
+    y += A x on y = -T_{k-1}.
     """
     from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
 
     hs = [h for h, _ in stack]
     intervals = _intervals(hs, t)
-    # 2*H_s, H_s = (H - centre)/half-width.
-    band, ends = _dia_band(
-        hs, [(c, 2.0 / half if half > 0.0 else 0.0) for c, half in intervals]
-    )
-    sizes = [h.m_total + 1 for h in hs]
+    half = max(w for _, w in intervals)
+    # 2*H_s, H_s = (H - centre)/half.
+    band, ends = _dia_band(hs, [c for c, _ in intervals], 2.0 / half if half else 0.0)
     n = int(ends[-1])
     x = np.zeros((2, n))  # T_{k-1}, T_k
-    coef, tails, turns = [], [], []
-    for (_, start), end, size, (centre, half) in zip(stack, ends, sizes, intervals):
-        x[1, end - size : end] = start
-        turns.append((math.cos(centre * t), -math.sin(centre * t)))
-        # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
-        # with z = half-width * t, and J_k(-z) = (-1)^k J_k(z).
-        j, tail = _bessel_series(half * abs(t))
-        if not tail <= _TAIL_TOL:
-            raise IntegratorFailureError(
-                f"Chebyshev truncation bound {tail:.3e} exceeds {_TAIL_TOL:g}"
-            )
-        tails.append(tail)
-        a = 2.0 * j
-        a[0] = j[0]
-        a[2::4] *= -1.0
-        a[1::4] *= -math.copysign(1.0, t)
-        a[3::4] *= math.copysign(1.0, t)
-        coef.append(a)
-    table = np.zeros((max(a.size for a in coef), len(stack)))
-    for i, a in enumerate(coef):
-        table[: a.size, i] = a
+    for (h, start), end in zip(stack, ends):
+        x[1, end - h.m_total - 1 : end] = start
+    # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
+    # with z = half * t, and J_k(-z) = (-1)^k J_k(z).
+    j, tail = _bessel_series(half * abs(t))
+    if not tail <= _TAIL_TOL:
+        raise IntegratorFailureError(
+            f"Chebyshev truncation bound {tail:.3e} exceeds {_TAIL_TOL:g}"
+        )
+    coef = 2.0 * j
+    coef[0] = j[0]
+    coef[2::4] *= -1.0
+    coef[1::4] *= -math.copysign(1.0, t)
+    coef[3::4] *= math.copysign(1.0, t)
     acc = np.zeros((2, n))  # even terms are real, odd terms imaginary
     buf = np.empty(n)
-    for k, a_k in enumerate(table):
+    for k, a_k in enumerate(coef):
         # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
         cur, y = x[(k + 1) % 2], x[k % 2]
-        if len(stack) == 1:
-            np.multiply(cur, a_k[0], out=buf)
-        else:
-            np.multiply(cur, np.repeat(a_k, sizes), out=buf)
+        np.multiply(cur, a_k, out=buf)
         acc[k % 2] += buf
         # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
         # T_1 = H_s T_0.
@@ -447,8 +435,9 @@ def _propagate_block(stack, t):
         if k == 0:
             y *= 0.5
     out = []
-    for end, size, tail, (c, s) in zip(ends, sizes, tails, turns):
-        even, odd = acc[0, end - size : end], acc[1, end - size : end]
+    for h, end, (centre, _) in zip(hs, ends, intervals):
+        c, s = math.cos(centre * t), -math.sin(centre * t)
+        even, odd = acc[:, end - h.m_total - 1 : end]
         out.append((even * c - odd * s + 1j * (even * s + odd * c), tail))
     return out
 
@@ -459,15 +448,18 @@ def propagate(sectors, t):
     Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
     its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
-    start norm.  A series runs about z = half-width * |t| terms of the
-    interval that holds the spectrum: Gershgorin's for a short series, a
-    certified tight one, cached on H, for a long one (_intervals; the
-    certificate too sums with numpy reductions and unblocked banded LAPACK,
-    not threaded BLAS).  Consecutive sectors are stacked into recursions of at most
+    start norm.  Each sector's spectrum is held by an interval:
+    Gershgorin's for a short series, a certified tight one, cached on H,
+    for a long one (_intervals; the certificate too sums with numpy
+    reductions and unblocked banded LAPACK, not threaded BLAS).
+    Consecutive sectors are stacked into recursions of at most
     _STACK_LIMIT elements (a larger sector runs alone), and only one stack
-    is held at a time.  Each term of a recursion is one in-place banded
-    product (scipy's DIA kernel, no BLAS), which sums every row in a fixed
-    order, so the results do not depend on the thread count.
+    is held at a time.  A stack runs one series, about z = half-width * |t|
+    terms of its widest sector, so a result moves with its stack-mates by
+    round-off; the stacks depend only on the sequence of sectors.  Each
+    term is one in-place banded product (scipy's DIA kernel, no BLAS),
+    which sums every row in a fixed order, so the results do not depend on
+    the thread count.
     """
     stack, size = [], 0
     for h, start in sectors:

@@ -42,13 +42,13 @@ GOLDEN = {
     ),
     "protocol twopoint:80,120": (
         ["protocol", *F, "--init", "twopoint:80,120", "--m-max", "130", "--cycles", "800"],
-        "cbf9be82e4e83c08479fe93e1793b1daedd6bc108377e6cabb591a9edbde507d",
-        "7dd21c5579ef731e09ffab361caf9bce392c6dec0d0810398adc8b4e47600854",
+        "8f2d679ac12fbc558abe5334e6600d0c27cc87d701f7519bdfa1e63a457bf2f7",
+        "91f47bcceb72fa774cb3c0f877b472cf3ea630e6464eaa8671fae855ac8adbfe",
     ),
     "protocol n0 = 300": (
         ["protocol", "--nbar", "300", "--n0", "300", "--grid-points", "1500", "--cycles", "200"],
-        "6f65b721201a8f72cf61ca2f7eabc04c61efeb4af7515152d23a5121be18e0d3",
-        "eca87f8a65f81a58d287bed220f07039d21e537474159f84774d54a89c4718f2",
+        "e74dd10499e7acc9c5e2b73af22fb6658f914c0ed0dedce4bdb2b2b81b4018ad",
+        "4971dcd89e47e0899be2feba11df88d195561522a04d32100be7f10cc5b2b25c",
     ),
 }
 

@@ -232,6 +232,7 @@ def test_large_branch_matches_eigensolution(case100):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 60),
+    small=st.integers(1, 60),
     gamma=st.floats(0.0, 0.05),
     mu=st.floats(-3.0, 3.0),
     mu1=st.floats(-3.0, 3.0),
@@ -241,16 +242,29 @@ def test_large_branch_matches_eigensolution(case100):
     t=st.floats(-3.0, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chebyshev_matches_dense_eigh(m, gamma, mu, mu1, g01, alpha2, nbar, t, seed):
+def test_chebyshev_matches_dense_eigh(
+    m, small, gamma, mu, mu1, g01, alpha2, nbar, t, seed
+):
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
     h = build_h01(co, m)
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
     amp /= np.linalg.norm(amp)
-    w, v = np.linalg.eigh(h.to_dense())
-    want = v @ (np.exp(-1j * w * t) * (v.T @ amp))
+
+    def dense(h, x):
+        w, v = np.linalg.eigh(h.to_dense())
+        return v @ (np.exp(-1j * w * t) * (v.T @ x))
+
     got = evolve_exact(h, TwoModeState(m, amp), t).amplitudes
-    assert np.max(np.abs(got - want)) < 1e-10
+    assert np.max(np.abs(got - dense(h, amp))) < 1e-10
+    # A sector no larger than h stacked after it runs on its own centre
+    # under the stack's widest half-width.
+    h2 = build_h01(co, min(small, m))
+    x2 = rng.normal(size=h2.m_total + 1)
+    x2 /= np.linalg.norm(x2)
+    pairs = [(h, amp.real), (h2, x2)]
+    for (got, _), (hh, x) in zip(twomode.propagate(pairs, t), pairs):
+        assert np.max(np.abs(got - dense(hh, x))) < 1e-10
 
 
 def test_long_times_run_in_steps(monkeypatch):
