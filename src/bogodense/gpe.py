@@ -4,20 +4,25 @@ The mode xi0 solves, in trap units,
 
     -1/2 lap(xi0) + (r^2/2) xi0 + g*nbar*xi0^3 = mu*xi0,   integral(xi0^2) = 1,
 
-and is found by imaginary-time propagation.  Each step applies a
-backward-Euler (semi-implicit) update in w = r*xi0 space, which reduces to a
-symmetric positive-definite tridiagonal solve and has no step-size stability
-limit, followed by renormalization.
+and is found by Newton's method in w = r*xi0 space, where the discrete
+operator is symmetric tridiagonal.  Each Newton step solves the bordered
+system for (w, mu) under the norm constraint with one tridiagonal
+factorization of the Jacobian H[xi0] + 2*g*nbar*xi0^2 - mu and is accepted
+only when that Jacobian is positive definite and the residual falls.
+Otherwise a block of backward-Euler (semi-implicit) imaginary-time steps
+runs, each one positive-definite tridiagonal solve with no step-size
+stability limit followed by renormalization, and Newton is tried again.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import (
     ConvergenceError,
+    IntegratorFailureError,
     InvalidParameterError,
     TruncationOverflowError,
     UnsupportedRegimeError,
@@ -30,6 +35,8 @@ _METHODS = ("numeric", "thomas_fermi", "gaussian")
 _WALL_WEIGHT_TOL = 1e-8
 # Imaginary-time step of solve_gpe; backward Euler is stable at any step.
 _DTAU = 0.02
+# Imaginary-time steps taken when a Newton trial is refused.
+_FALLBACK_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +102,35 @@ def imaginary_time_step(dp, grid, values, nbar, dtau):
     r = grid.nodes
     h = grid.h
     pot = 0.5 * r**2 + dp.g * nbar * values**2
-    ab = np.empty((2, grid.n_points))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = -dtau / (2.0 * h**2)
-    ab[1, :] = 1.0 + dtau * (1.0 / h**2 + pot)
-    w = solveh_banded(ab, r * values)
+    d = 1.0 + dtau * (1.0 / h**2 + pot)
+    e = np.full(grid.n_points - 1, -dtau / (2.0 * h**2))
+    _, _, w, info = dptsv(d, e, r * values)
+    if info != 0:
+        raise IntegratorFailureError(f"imaginary-time solve failed: dptsv info {info}")
+    w /= math.sqrt(4.0 * np.pi * h * np.sum(w**2))
+    return w / r
+
+
+def newton_step(dp, grid, values, nbar):
+    """One Newton step for (xi0, mu) under the norm constraint, in w-space.
+
+    With mu the Rayleigh quotient, f = (H[xi] - mu) w and J the Jacobian
+    H[xi] + 2*g*nbar*xi^2 - mu, one factorization of J gives a = J^-1 f and
+    b = J^-1 w, and the bordered step is w - a + (<w,a>/<w,b>) b, then
+    renormalized.  Returns None when J is not positive definite.
+    """
+    r = grid.nodes
+    h = grid.h
+    hxi = _apply_h(dp, RadialField(grid, values), nbar).values
+    mu = integrate(RadialField(grid, values * hxi))
+    w = r * values
+    d = 1.0 / h**2 + 0.5 * r**2 + 3.0 * dp.g * nbar * values**2 - mu
+    e = np.full(grid.n_points - 1, -0.5 / h**2)
+    _, _, ab, info = dptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
+    if info != 0:
+        return None
+    a, b = ab[:, 0], ab[:, 1]
+    w = w - a + (np.sum(w * a) / np.sum(w * b)) * b
     w /= math.sqrt(4.0 * np.pi * h * np.sum(w**2))
     return w / r
 
@@ -120,7 +151,15 @@ def _initial_guess(dp, grid):
 
 
 def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
-    """Imaginary-time ground-state solve.
+    """Ground-state solve: Newton steps, with imaginary time as the fallback.
+
+    Each outer iteration tries one Newton step (`newton_step`) and keeps it
+    when the Jacobian is positive definite and the residual falls; otherwise
+    it takes a block of `_FALLBACK_STEPS` backward-Euler imaginary-time
+    steps.  Far from the ground mode (for instance from the Thomas-Fermi
+    guess at nbar of a few hundred) the Jacobian is indefinite and imaginary
+    time brings the iterate into Newton's basin; near it Newton converges
+    quadratically to the round-off floor.
 
     Parameters
     ----------
@@ -128,16 +167,17 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     grid : RadialGrid
     tol : float
         Convergence threshold on the L2 residual norm of the discrete
-        eigenproblem.
+        eigenproblem; it is the only stopping test.
     max_iter : int
-        Iteration budget; exceeding it raises a convergence error carrying
-        the last residual.
+        Step budget, counting each accepted Newton step and each
+        imaginary-time step as one; exceeding it raises a convergence error
+        carrying the last residual.
 
     Returns
     -------
     GroundMode
         Normalized non-negative mode with chemical potential, final
-        residual and iteration count.
+        residual and iteration count (Newton plus imaginary-time steps).
 
     Raises TruncationOverflowError when more than _WALL_WEIGHT_TOL of the
     mode's weight lies in the outer tenth of the grid: the hard wall at
@@ -160,7 +200,14 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
                 residual=res,
                 iterations=iterations,
             )
-        steps = min(10, max_iter - iterations)
+        trial = newton_step(dp, grid, values, dp.nbar)
+        if trial is not None:
+            trial_res = residual_norm(dp, RadialField(grid, trial), dp.nbar)
+            if trial_res < res:
+                values, res = trial, trial_res
+                iterations += 1
+                continue
+        steps = min(_FALLBACK_STEPS, max_iter - iterations)
         for _ in range(steps):
             values = imaginary_time_step(dp, grid, values, dp.nbar, _DTAU)
         iterations += steps

@@ -17,38 +17,38 @@ F = ["--nbar", "100", "--n0", "100", "--grid-points", "1500"]
 GOLDEN = {
     "ground --tf": (
         ["ground", *F, "--tf"],
-        "28459bfebf63ff9c985b25609be5a9390a1155720ea56c8d5e6aaeaf39cd8ce4",
-        "cab2be8da245dfbf050f3f227a126863bef6ec98d93bcfd3deff2da8a63719b9",
+        "d2615b9b7a7af18af6f8ef395a208b44440e4479a8bd70aec15ce8ecd9862807",
+        "401e981f8545e1d9f866d1311472a1651d18891bacf0a62c0fc596a0df9b80a1",
     ),
     "modes": (
         ["modes", *F],
-        "b488511c43fee80737be2d16096042e079936dcb295f10b2824aefb4ca28b655",
-        "ebe535343ca2d576df7b9ef035eacabc72195fe7940f7bb581efaa0e9891b6a9",
+        "1d82fdc40268f6eced1261f1abbe19a20e9e52f5e3200490501b43ea94c2fac6",
+        "17d8f2b76f99f0b6097b661b08805ff61db722df5a2851257ed19e5eca6cf6c5",
     ),
     "figure1": (
         ["figure1", *F],
-        "7b04aa5cf34ec322de07b2e4e14d205fd67e3ca28cd4e621bd3bc313e5fbd741",
-        "1882f5d166f5faa750332a3d58abba67dac230615157d2f3ec820a9897b7fcaf",
+        "18e0114842aeeca65aa731c9fd365bf70cc59fca0bf7fa528c75178cbc04dafe",
+        "78bb50bd6457d995f88f3f6e20102b2bd9962b7fcf2b5250107a804fa4dee3ea",
     ),
     "bdg": (
         ["bdg", *F],
-        "3cb151b449d05ac1952e44f51910435186f1e443855947ad4e361f4d275dfb93",
-        "c69b4d9f6e22f8fa0f6c696584a31c72ad09c1be47557f51177d859744737a3b",
+        "eb377c27a72748e5613829797e4cb77226e30f4a0fe98e1f4932fb7f0de6dd23",
+        "85b70fb1d935b768c86fde74cbe5c474004b6da7ae6add987a6121272df9a6da",
     ),
     "dynamics": (
         ["dynamics", *F],
-        "ca5a65bb420beeb2efbf1ceecdcf7e7f6a5c8b6d3df9b221a6b85e421f104012",
-        "a941a5e749b73998781ffbdc4af836b46fd9ff1a9617f874460c5579a194044c",
+        "d2a2eddf35ffdccf23a29191f0b1f52835c3d794659a29884578c71e868b920c",
+        "4204d628b8422cd0804ac203938e9cf6c25524dedd02e562ab57a62f4a7ec4b2",
     ),
     "protocol twopoint:80,120": (
         ["protocol", *F, "--init", "twopoint:80,120", "--m-max", "130", "--cycles", "800"],
-        "8f2d679ac12fbc558abe5334e6600d0c27cc87d701f7519bdfa1e63a457bf2f7",
-        "91f47bcceb72fa774cb3c0f877b472cf3ea630e6464eaa8671fae855ac8adbfe",
+        "021befbe1271fc5ab9e85371a208bb75e3015ea61e8aced242ce7ad0c27eaa6f",
+        "ee5aa6451aa9b16dac5ad3a3e4559919de1ecaf9461c29ef8599311a376efd14",
     ),
     "protocol n0 = 300": (
         ["protocol", "--nbar", "300", "--n0", "300", "--grid-points", "1500", "--cycles", "200"],
-        "e74dd10499e7acc9c5e2b73af22fb6658f914c0ed0dedce4bdb2b2b81b4018ad",
-        "4971dcd89e47e0899be2feba11df88d195561522a04d32100be7f10cc5b2b25c",
+        "4aad33c63fee68cb407e28bae2d83122b44a58559d8459b6c538e47082443621",
+        "7cca9ba967f98b43ff436f5a60bc4f602082a6663a84e0aee6427092bd449dee",
     ),
 }
 

@@ -13,10 +13,24 @@ from bogodense import (
     integrate,
     solve_gpe,
     thomas_fermi_mode,
+    gpe,
     to_dimensionless,
 )
-from bogodense.errors import ConvergenceError, InvalidParameterError, UnsupportedRegimeError
-from bogodense.gpe import GroundMode, energy, imaginary_time_step
+from bogodense.errors import (
+    ConvergenceError,
+    IntegratorFailureError,
+    InvalidParameterError,
+    UnsupportedRegimeError,
+)
+from bogodense.gpe import (
+    GroundMode,
+    _initial_guess,
+    chemical_potential,
+    energy,
+    imaginary_time_step,
+    newton_step,
+    residual_norm,
+)
 
 from oracles import reference_params
 
@@ -131,6 +145,76 @@ def test_energy_monotone_under_imaginary_time():
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10)
     assert energies[-1] < energies[0]
+
+
+@pytest.mark.parametrize("nbar", [1.0, 100.0, 1.0e4, 1.0e6])
+def test_newton_converges_in_few_iterations(nbar):
+    # Imaginary time alone needs 280-370 steps on these grids.
+    dp = to_dimensionless(reference_params(nbar))
+    gm = solve_gpe(dp, default_grid(dp))
+    assert gm.residual <= 1e-8
+    assert gm.iterations <= 20
+
+
+@pytest.mark.parametrize("nbar", [100.0, 1.0e4, 1.0e5])
+def test_matches_tightly_converged_imaginary_time(nbar):
+    # Independent oracle: backward-Euler imaginary time alone, run well past
+    # the default tolerance.  Imaginary time stopped at 1e-8 is ~1.5e-9 off.
+    dp = to_dimensionless(reference_params(nbar))
+    grid = default_grid(dp, n_points=1000)
+    values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
+    values /= math.sqrt(integrate(RadialField(grid, values**2)))
+    for _ in range(20000):
+        if residual_norm(dp, RadialField(grid, values), dp.nbar) <= 1e-10:
+            break
+        values = imaginary_time_step(dp, grid, values, dp.nbar, 0.02)
+    ref = RadialField(grid, values)
+    assert residual_norm(dp, ref, dp.nbar) <= 1e-10
+    ref_mu = chemical_potential(dp, ref, dp.nbar)
+    gm = solve_gpe(dp, grid)
+    assert np.max(np.abs(gm.xi0.values - values)) <= 1e-9 * np.max(np.abs(values))
+    assert abs(gm.mu - ref_mu) <= 1e-10 * ref_mu
+
+
+def test_imaginary_time_runs_until_the_jacobian_is_positive_definite():
+    # From the Thomas-Fermi guess at nbar = 100 the Jacobian is indefinite,
+    # so dptsv refuses the Newton step and an imaginary-time block runs.
+    dp = to_dimensionless(reference_params(100.0))
+    grid = default_grid(dp)
+    assert newton_step(dp, grid, _initial_guess(dp, grid), dp.nbar) is None
+    gm = solve_gpe(dp, grid)
+    assert gm.residual <= 1e-8
+    assert 10 < gm.iterations <= 20
+    # At nbar = 1e5 the same guess already gives an accepted Newton step.
+    dp = to_dimensionless(reference_params(1.0e5))
+    grid = default_grid(dp)
+    guess = _initial_guess(dp, grid)
+    step = newton_step(dp, grid, guess, dp.nbar)
+    assert step is not None
+    assert residual_norm(dp, RadialField(grid, step), dp.nbar) < residual_norm(
+        dp, RadialField(grid, guess), dp.nbar
+    )
+
+
+def test_newton_trial_that_raises_the_residual_is_refused(monkeypatch):
+    # Every trial returns the initial guess, whose residual is larger than
+    # that of any later iterate: the solve must run on imaginary time alone.
+    dp = to_dimensionless(reference_params(100.0))
+    grid = default_grid(dp, n_points=1000)
+    guess = _initial_guess(dp, grid)
+    monkeypatch.setattr(gpe, "newton_step", lambda *args: guess)
+    gm = solve_gpe(dp, grid, max_iter=2000)
+    assert gm.residual <= 1e-8
+    assert gm.iterations % 10 == 0 and gm.iterations > 100
+
+
+def test_imaginary_time_refusal_is_categorized():
+    # A negative step makes the backward-Euler matrix indefinite.
+    dp = to_dimensionless(reference_params(100.0))
+    grid = default_grid(dp, n_points=500)
+    with pytest.raises(IntegratorFailureError) as err:
+        imaginary_time_step(dp, grid, _initial_guess(dp, grid), dp.nbar, -1.0)
+    assert err.value.category == "integrator-failure"
 
 
 def test_mu_monotone_in_nbar():
