@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dpbtrf
 
 from .errors import (
@@ -55,20 +55,17 @@ _TAIL_TOL = 1e-12
 # into equal steps of at most half that.
 _Z_MAX = 1e6
 # A sector whose Gershgorin series runs more than _REFINE_TERMS terms is
-# scaled by a certified tight interval instead.  Its _LANCZOS_STEPS band
-# products and two banded Cholesky factorizations cost 1-2.5 ms at
-# M = 400-5000 (one core), as much as 200-400 terms of the sector in a
-# stacked recursion, and Gershgorin overstates the half-width by 2-18 %,
-# so it pays from about 2000 terms: a protocol at n0 = 1000, whose top
-# 216 sectors run 2000-2600 terms, builds its kernels in the same time
-# either way, and one at n0 = 3000 (up to 11000 terms) 7 % faster.
-# The certificates run one Hamiltonian at a time: each costs at most a
-# few per cent of the series it shortens.  Each end starts _MARGIN
-# Gershgorin half-widths outside its Lanczos estimate and moves out by
-# twice as much on each failed certificate.
+# scaled by a certified tight interval instead.  Its 15-20 banded
+# Cholesky factorizations cost 0.3-3 ms at M = 130-5000 (one core), as
+# much as 100-300 terms of the sector in a stacked recursion, and
+# Gershgorin overstates the half-width by 2-18 %, so it pays from about
+# 2000 terms: a protocol at n0 = 1000, whose top 216 sectors run
+# 2000-2600 terms, builds its 1190 kernels in 4.9-5.2 s with it and in
+# 5.6-6.0 s without.  The certificates run one Hamiltonian at a time:
+# each costs at most a few per cent of the series it shortens.  Each end
+# is bisected to _BISECT_TOL Gershgorin half-widths.
 _REFINE_TERMS = 2000
-_LANCZOS_STEPS = 40
-_MARGIN = 2e-3
+_BISECT_TOL = 1e-3
 # Cholesky's backward error on a band of width p = 2 (Higham, Accuracy and
 # Stability of Numerical Algorithms, Thm 10.3, with n + 1 -> p + 2):
 # the computed L has L L^T = A + dA, |dA| <= gamma_{p+2} |L| |L^T|.
@@ -278,70 +275,45 @@ def _dia_band(hs, centres, scale):
     return band, ends
 
 
-def _lanczos_ends(band, norm):
-    """Lanczos estimates of the lowest and highest eigenvalue of one H.
-
-    band is H's DIA band.  _LANCZOS_STEPS steps run from a fixed random
-    start; the inner products are numpy sums (no BLAS), so the estimates
-    do not depend on the thread count.  The run stops early when the
-    Krylov space is exhausted: after as many steps as H has rows, or when
-    the next vector is round-off next to norm, a bound on |H|.  Ritz
-    values lie inside the spectrum up to round-off, so both estimates
-    fall short of the true ends, and _certify_end moves them out.
-    """
-    from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
-
-    n = band.shape[1]
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= math.sqrt(np.sum(q * q))
-    prev, beta = np.zeros(n), 0.0
-    alphas, betas = [], []
-    for _ in range(min(_LANCZOS_STEPS, n)):
-        y = prev * -beta
-        dia_matvec(n, n, 5, n, _OFFSETS, band, q, y)
-        alpha = float(np.sum(q * y))
-        y -= alpha * q
-        beta = math.sqrt(np.sum(y * y))
-        alphas.append(alpha)
-        betas.append(beta)
-        if not beta > 2.0**-40 * norm:
-            break
-        prev, q = q, y * (1.0 / beta)
-    theta = eigvalsh_tridiagonal(alphas, betas[:-1], lapack_driver="sterf")
-    return theta[0], theta[-1]
-
-
-def _certify_end(band, guess, outer, sign):
+def _certify_end(band, gersh, sign):
     """A certified bound past one end of the spectrum of one H.
 
-    sign = +1 bounds the top: sigma starts _MARGIN outer half-widths above
-    the estimate guess, and a banded Cholesky of sigma*I - H that runs to
-    completion proves sigma - lambda_max > -|dA|, the backward error of the
-    factorization plus the rounding of the diagonal, so sigma + that bound
-    lies above the spectrum (Sylvester's law of inertia; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 3).  sign = -1 does the same for the
-    bottom with H - tau*I.  Each failed factorization doubles the margin.
-    outer = (centre, half-width) of the Gershgorin interval, whose end is
-    the fallback and clips the bound.
+    band is H in lower band storage.  sign = +1 bounds the top: a banded
+    Cholesky of sigma*I - H that runs to completion proves sigma -
+    lambda_max > -|dA|, the backward error of the factorization plus the
+    rounding of the diagonal, so sigma + that bound lies above the
+    spectrum (Sylvester's law of inertia; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3).  sigma is bisected between the largest diagonal
+    entry, a Rayleigh quotient and so no higher than lambda_max, and the
+    Gershgorin end: a factorization that runs to completion moves the
+    outer bound in, one that fails moves the inner bound out and proves
+    nothing.  The bisection stops at a bracket _BISECT_TOL Gershgorin
+    half-widths wide, after at most 11 factorizations, and returns the
+    last proven sigma plus its bound.  sign = -1 does the same for the
+    bottom with H - sigma*I and the smallest diagonal entry.  gersh =
+    (centre, half-width) of the Gershgorin interval, whose end is the
+    fallback and clips the bound.
     """
-    centre, half = outer
+    centre, half = gersh
     wall = centre + sign * half
-    margin = _MARGIN * half
-    while True:
-        sigma = guess + sign * margin
-        if not sign * (wall - sigma) > 0.0:
-            return wall  # no tighter end left to prove: Gershgorin's stands
-        ab = -sign * band[[0, 2, 1]]  # lower band storage of sign*(sigma - H)
+    inner = sign * float(np.max(sign * band[0]))
+    outer, proof = wall, None
+    while sign * (outer - inner) > _BISECT_TOL * half:
+        sigma = 0.5 * (inner + outer)
+        if sigma == inner or sigma == outer:
+            break  # the bracket is down to round-off
+        ab = -sign * band  # lower band storage of sign*(sigma - H)
         ab[0] += sign * sigma
         chol, info = dpbtrf(ab, lower=1)
         if info < 0:
             raise IntegratorFailureError(f"dpbtrf rejected argument {-info}")
         if info == 0:
-            break
-        # A margin too small to move sigma any further gives up at once.
-        if guess + sign * 2.0 * margin == sigma:
-            return wall
-        margin *= 2.0
+            outer, proof = sigma, (ab, chol)
+        else:
+            inner = sigma
+    if proof is None:
+        return wall  # no tighter end proven: Gershgorin's stands
+    ab, chol = proof
     # The largest row sum of |L| |L^T|.
     mag = np.abs(chol)
     col = mag.sum(axis=0)
@@ -349,23 +321,21 @@ def _certify_end(band, guess, outer, sign):
     rows[1:] += mag[1, :-1] * col[:-1]
     rows[2:] += mag[2, :-2] * col[:-2]
     err = _CHOL_GAMMA * np.max(rows) + _UNIT_ROUNDOFF * np.max(np.abs(ab[0]))
-    proven = sigma + sign * (err + 2.0 * _UNIT_ROUNDOFF * abs(sigma))
+    proven = outer + sign * (err + 2.0 * _UNIT_ROUNDOFF * abs(outer))
     return proven if sign * (wall - proven) > 0.0 else wall
 
 
 def _certified(h):
     """The certified (centre, half-width) of h's spectrum, cached on h.
 
-    Lanczos estimates of both ends, each moved out until a banded Cholesky
-    certifies it, inside the Gershgorin interval, which stays the outer
-    bracket.
+    Each end is bisected by banded Cholesky factorizations (_certify_end)
+    inside the Gershgorin interval, which stays the outer bracket.
     """
     if h._interval is None:
-        band, _ = _dia_band([h], [0.0], 1.0)
-        outer = _gershgorin(h)
-        low, high = _lanczos_ends(band, abs(outer[0]) + outer[1])
-        a = _certify_end(band, low, outer, -1.0)
-        b = _certify_end(band, high, outer, 1.0)
+        band = h.to_banded_lower()
+        gersh = _gershgorin(h)
+        a = _certify_end(band, gersh, -1.0)
+        b = _certify_end(band, gersh, 1.0)
         object.__setattr__(h, "_interval", (float(b + a) / 2.0, float(b - a) / 2.0))
     return h._interval
 
@@ -450,8 +420,8 @@ def propagate(sectors, t):
     its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
     start norm.  Each sector's spectrum is held by an interval:
     Gershgorin's for a short series, a certified tight one, cached on H,
-    for a long one (_intervals; the certificate too sums with numpy
-    reductions and unblocked banded LAPACK, not threaded BLAS).
+    for a long one (_intervals; the certificate runs only unblocked banded
+    LAPACK factorizations, no threaded BLAS).
     Consecutive sectors are stacked into recursions of at most
     _STACK_LIMIT elements (a larger sector runs alone), and only one stack
     is held at a time.  A stack runs one series, about z = half-width * |t|
@@ -576,10 +546,12 @@ def mean_n1_trace(h, s0, times):
     one core: criterion 2's M = 1000, W = 225 traces of 401 and 2048
     samples gain; at M = 4000, W = 1915 a 401-sample trace loses about
     1 s beside 36 s of eig_banded).  Above _EIG_LIMIT it steps the Chebyshev
-    propagator through the sorted times.
+    propagator through the sorted times.  As mean_n1_analytic, it returns a
+    float for a scalar time and an array of the shape of times otherwise.
     """
     _check_state(h, s0)
     times = np.asarray(times, dtype=float)
+    shape, times = times.shape, times.ravel()
     if not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be finite")
     n = np.arange(h.m_total + 1, dtype=float)
@@ -611,16 +583,16 @@ def mean_n1_trace(h, s0, times):
         # At t = 0 the state is s0 itself, as in evolve_exact; the GEMMs
         # would leave round-off there that depends on the BLAS thread count.
         out[times == 0.0] = mean_n1(s0)
-        return out
-    state = s0
-    t_prev = 0.0
-    for i in np.argsort(times):
-        t = times[i]
-        if t != t_prev:
-            state = evolve_exact(h, state, t - t_prev)
-            t_prev = t
-        out[i] = mean_n1(state)
-    return out
+    else:
+        state = s0
+        t_prev = 0.0
+        for i in np.argsort(times):
+            t = times[i]
+            if t != t_prev:
+                state = evolve_exact(h, state, t - t_prev)
+                t_prev = t
+            out[i] = mean_n1(state)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 @dataclass(frozen=True)

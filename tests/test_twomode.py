@@ -285,7 +285,7 @@ def test_long_times_run_in_steps(monkeypatch):
 # Reference-trap coefficients at nbar = 1e4 (oracles.solve_case(1e4),
 # pinned to full precision).  At M = 5000 from |M,0> to t = pi/w'(1e4) the
 # Gershgorin series would take 21764 terms and the certified one takes
-# 18545.
+# 18544.
 LARGE = dict(
     alpha2=0.002197847795460061,
     alpha3=5.747136986882019e-06,
@@ -297,7 +297,7 @@ LARGE = dict(
     g01=0.00035239795306456304,
     nbar=10000.0,
 )
-LARGE_DIGEST = "1edda5a99354959ec6ddc9557f6c4d7320de49c1eb6c370f91b4cb4a26307b3b"
+LARGE_DIGEST = "25fb8468ce3dbd7a5eb8c5edcc7cd99da5956be5d78795c73289942355ac4021"
 
 
 def test_large_dimension_matches_dense_eigensolution():
@@ -314,15 +314,15 @@ def test_large_dimension_matches_dense_eigensolution():
     h = build_h01(co, 5000)
     (_, half), = twomode._intervals([h], t)
     assert twomode._bessel_series(twomode._gershgorin(h)[1] * t)[0].size == 21764
-    assert twomode._bessel_series(half * t)[0].size == 18545
+    assert twomode._bessel_series(half * t)[0].size == 18544
     s = evolve_exact(h, fock_state(5000, 0), t)
     assert mean_n1(s) == pytest.approx(263.14163520628176, rel=1e-8)
     assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == LARGE_DIGEST
 
 
 def test_large_dimension_bytes_independent_of_thread_count():
-    # The certified interval takes its inner products as numpy reductions
-    # and factors with unblocked banded LAPACK, so the series, and every
+    # The certified interval comes from unblocked banded LAPACK
+    # factorizations alone, with no BLAS call, so the series, and every
     # amplitude bit, is the same at 1 and at 2 BLAS threads.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items()
@@ -351,19 +351,31 @@ def test_large_dimension_bytes_independent_of_thread_count():
 
 
 def _check_interval(h, interval):
-    """The interval holds every dense eigenvalue and lies inside Gershgorin's.
+    """The interval holds every dense eigenvalue, lies inside Gershgorin's
+    and is tight.
 
-    Both hold up to a few units of round-off in |H|: eigvalsh's own error
-    and the (centre, half-width) form, where an end that falls back on a
-    Gershgorin end touching the spectrum (a diagonal H) may move an ulp.
+    All three hold up to a few units of round-off in |H|: eigvalsh's own
+    error and the (centre, half-width) form, where an end that falls back
+    on a Gershgorin end touching the spectrum (a diagonal H) may move an
+    ulp.  Tight means each end lies within _BISECT_TOL Gershgorin
+    half-widths, plus its Cholesky bound, of the dense end.  That bound,
+    and the round-off by which a refused factorization may sit past the
+    end, are each below 32 eps (|centre| + half-width) of Gershgorin's: on
+    a band of width 2, |L| |L^T| has at most 5 entries a row, each at
+    most the largest diagonal entry of sigma - H, itself at most a
+    Gershgorin width.
     """
     centre, half = interval
     w = np.linalg.eigvalsh(h.to_dense())
     g_centre, g_half = twomode._gershgorin(h)
-    ulps = 8.0 * np.finfo(float).eps * (abs(g_centre) + g_half)
+    eps = np.finfo(float).eps
+    ulps = 8.0 * eps * (abs(g_centre) + g_half)
     assert centre - half <= w[0] + ulps and w[-1] - ulps <= centre + half
     assert g_centre - g_half - ulps <= centre - half
     assert centre + half <= g_centre + g_half + ulps
+    slack = twomode._BISECT_TOL * g_half + ulps + 64.0 * eps * (abs(g_centre) + g_half)
+    assert w[0] - (centre - half) <= slack
+    assert (centre + half) - w[-1] <= slack
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -382,10 +394,8 @@ def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, n
     _check_interval(h, twomode._certified(h))
 
 
-def test_too_small_margin_fails_then_certifies(case100, monkeypatch):
-    # With a margin far below the Lanczos error the first factorization
-    # fails; the margin doubles until one succeeds, and the end it proves
-    # still holds the spectrum.
+def _record_dpbtrf(monkeypatch):
+    """Patch twomode's dpbtrf to append each call's info to the returned list."""
     infos = []
     dpbtrf = twomode.dpbtrf
 
@@ -395,10 +405,51 @@ def test_too_small_margin_fails_then_certifies(case100, monkeypatch):
         return out
 
     monkeypatch.setattr(twomode, "dpbtrf", recorded)
-    monkeypatch.setattr(twomode, "_MARGIN", 1e-12)
+    return infos
+
+
+def test_bisection_refuses_and_proves_at_each_end(case100, monkeypatch):
+    # Each end is bisected between its innermost diagonal entry and its
+    # Gershgorin end: some factorizations fail (sigma inside the spectrum)
+    # and some succeed, at most 11 per end, and the end it proves holds
+    # the spectrum.
+    infos = _record_dpbtrf(monkeypatch)
+    calls = []
+
+    def certify_end(band, gersh, sign):
+        start = len(infos)
+        out = certify(band, gersh, sign)
+        calls.append(infos[start:])
+        return out
+
+    certify = twomode._certify_end
+    monkeypatch.setattr(twomode, "_certify_end", certify_end)
     h = build_h01(case100["coeffs"], 300)
     _check_interval(h, twomode._certified(h))
-    assert infos[0] > 0 and infos[-1] == 0
+    assert len(calls) == 2 and len(infos) <= 22
+    for end in calls:
+        assert any(info > 0 for info in end) and any(info == 0 for info in end)
+        assert len(end) <= math.ceil(math.log2(2.0 / twomode._BISECT_TOL))
+
+
+def test_bisection_stops_at_round_off():
+    # With couplings far below an ulp of a large diagonal, the bracket
+    # reaches adjacent floats before _BISECT_TOL half-widths, where the
+    # midpoint no longer moves: the bisection stops there.
+    m = 6
+    h = TwoModeHamiltonian(m_total=m, diag=np.full(m + 1, 1e8),
+                           off1=np.full(m, 1e-6), off2=np.full(m - 1, 1e-7))
+    _check_interval(h, twomode._certified(h))
+
+
+def test_diagonal_hamiltonian_needs_no_factorization(monkeypatch):
+    # Without couplings every Gershgorin disc is a point: the innermost
+    # diagonal entry is the Gershgorin end, the bracket is empty, and the
+    # exact Gershgorin interval comes back.
+    infos = _record_dpbtrf(monkeypatch)
+    h = build_h01(synthetic_coeffs(gamma=0.0, g01=0.0, mu=0.9, mu1=1.7, nbar=3.0), 40)
+    assert twomode._certified(h) == twomode._gershgorin(h)
+    assert infos == []
 
 
 def test_overflowing_phases_rejected():
@@ -449,6 +500,24 @@ def test_trace_fallback_path_matches(case100, monkeypatch):
     monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
     alt = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times)
     assert np.max(np.abs(ref - alt)) < 1e-10
+
+
+@pytest.mark.parametrize("limit", [twomode._EIG_LIMIT, 50])
+def test_trace_keeps_the_shape_of_times(case100, monkeypatch, limit):
+    # A scalar time raised a bare IndexError and a (2, 2) array a broadcast
+    # ValueError; like mean_n1_analytic, the trace now returns a float for
+    # a scalar and the shape of times otherwise, on both branches.
+    monkeypatch.setattr(twomode, "_EIG_LIMIT", limit)
+    h, s0 = build_h01(case100["coeffs"], 120), fock_state(120, 0)
+    grid = np.array([[0.0, 0.5], [1.5, 1.0]])
+    flat = mean_n1_trace(h, s0, grid.ravel())
+    scalar = mean_n1_trace(h, s0, 0.5)
+    assert type(scalar) is float and scalar == pytest.approx(flat[1], rel=1e-12)
+    assert mean_n1_trace(h, s0, 0.0) == 0.0
+    square = mean_n1_trace(h, s0, grid)
+    assert square.shape == (2, 2) and np.array_equal(square.ravel(), flat)
+    assert mean_n1_trace(h, s0, [[0.5]]).shape == (1, 1)
+    assert mean_n1_trace(h, s0, np.empty((0, 3))).shape == (0, 3)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
