@@ -1,5 +1,6 @@
 """Mean-density two-mode Bogoliubov dynamics of a trapped Bose condensate."""
 
+import importlib
 import os
 import sys
 import warnings
@@ -35,13 +36,6 @@ def _cap_threads():
 
 _cap_threads()
 
-from .bdg import (  # noqa: E402
-    Mode1Decomposition,
-    QuasiparticleSpectrum,
-    decompose_mode1,
-    project_orthogonal,
-    solve_bdg,
-)
 from .errors import (  # noqa: E402
     BogodenseError,
     ConfigError,
@@ -65,29 +59,57 @@ from .gpe import (  # noqa: E402
 from .grid import RadialField, RadialGrid, default_grid, integrate, laplacian  # noqa: E402
 from .modes import CouplingCoefficients, ModeOne, build_xi1, coefficients, moment  # noqa: E402
 from .params import HBAR, DimensionlessParams, PhysicalParams, to_dimensionless  # noqa: E402
-from .protocol import (  # noqa: E402
-    NumberDistribution,
-    ProtocolConfig,
-    ProtocolResult,
-    gaussian_distribution,
-    point_distribution,
-    run_cycle,
-    run_protocol,
-    two_point_distribution,
-)
-from .twomode import (  # noqa: E402
-    OscillationLaw,
-    TwoModeHamiltonian,
-    TwoModeState,
-    build_h01,
-    dominant_frequency,
-    evolve_exact,
-    fock_state,
-    mean_n1,
-    mean_n1_analytic,
-    mean_n1_trace,
-    oscillation_law,
-)
+
+# The mean-field names above need numpy alone.  These modules import scipy,
+# so their names load on first use (PEP 562): `import bogodense`, and a
+# command that stops at the mean-field stages, never pays for scipy.
+_LAZY = {
+    "bdg": (
+        "Mode1Decomposition",
+        "QuasiparticleSpectrum",
+        "decompose_mode1",
+        "project_orthogonal",
+        "solve_bdg",
+    ),
+    "protocol": (
+        "NumberDistribution",
+        "ProtocolConfig",
+        "ProtocolResult",
+        "gaussian_distribution",
+        "point_distribution",
+        "run_cycle",
+        "run_protocol",
+        "two_point_distribution",
+    ),
+    "twomode": (
+        "OscillationLaw",
+        "TwoModeHamiltonian",
+        "TwoModeState",
+        "build_h01",
+        "dominant_frequency",
+        "evolve_exact",
+        "fock_state",
+        "mean_n1",
+        "mean_n1_analytic",
+        "mean_n1_trace",
+        "oscillation_law",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULE))
+
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bdg import decompose_mode1, solve_bdg
 from .errors import (
     BogodenseError,
     ConfigError,
@@ -29,22 +28,11 @@ from .errors import (
 from .gpe import solve_gpe, thomas_fermi_mode
 from .grid import default_grid
 from .modes import build_xi1, coefficients
-from .params import HBAR, PhysicalParams, to_dimensionless
-from .protocol import (
-    ProtocolConfig,
-    gaussian_distribution,
-    point_distribution,
-    run_protocol,
-    two_point_distribution,
-)
-from .twomode import (
-    _EIG_LIMIT,
-    build_h01,
-    fock_state,
-    mean_n1_analytic,
-    mean_n1_trace,
-    oscillation_law,
-)
+from .params import _EIG_LIMIT, HBAR, PhysicalParams, to_dimensionless
+
+# ground, modes and figure1 need numpy alone.  The commands that need the
+# scipy-backed modules (bdg, protocol, twomode) import them first thing, so
+# scipy.linalg is loaded before their ground solve and it runs on LAPACK.
 
 # Largest protocol --m-max: the protocol computes no eigensystem, but it
 # iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.
@@ -299,6 +287,14 @@ def _cmd_modes(cfg):
 
 
 def _cmd_dynamics(cfg):
+    from .twomode import (
+        build_h01,
+        fock_state,
+        mean_n1_analytic,
+        mean_n1_trace,
+        oscillation_law,
+    )
+
     m_total = cfg.m_total if cfg.m_total is not None else round(cfg.physical.nbar)
     if m_total < 1:
         raise ConfigError(f"--m-total must be >= 1, got {m_total}")
@@ -349,6 +345,8 @@ def _cmd_dynamics(cfg):
 
 
 def _cmd_bdg(cfg):
+    from .bdg import decompose_mode1, solve_bdg
+
     if cfg.num_modes < 1:
         raise ConfigError(f"--num-modes must be >= 1, got {cfg.num_modes}")
     dp, grid, gm, m1, _ = _stages(cfg)
@@ -378,6 +376,8 @@ def _cmd_bdg(cfg):
 
 def _initial_distribution(spec, n0, m_max):
     """The --init distribution on 0..m_max; m_max defaults to its support."""
+    from .protocol import gaussian_distribution, point_distribution, two_point_distribution
+
     kind, _, rest = spec.partition(":")
     try:
         if kind == "gaussian":
@@ -419,6 +419,8 @@ def _initial_distribution(spec, n0, m_max):
 
 
 def _cmd_protocol(cfg):
+    from .protocol import ProtocolConfig, run_protocol
+
     if cfg.cycles < 1:
         raise ConfigError(f"--cycles must be >= 1, got {cfg.cycles}")
     n0 = cfg.physical.n0

@@ -15,10 +15,10 @@ stability limit followed by renormalization, and Newton is tried again.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .errors import (
     ConvergenceError,
@@ -37,6 +37,11 @@ _WALL_WEIGHT_TOL = 1e-8
 _DTAU = 0.02
 # Imaginary-time steps taken when a Newton trial is refused.
 _FALLBACK_STEPS = 10
+_EPS = float(np.finfo(float).eps)
+# A converged mode may dip below zero by at most this many eps times its
+# maximum before the clamp; a deeper dip is a node.  Measured pre-clamp
+# minima are >= 0 from nbar = 1 to 1e6 and for the free gas.
+_NODE_ULPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +102,45 @@ def gpe_residual(gm, dp):
     return residual_norm(dp, gm.xi0, gm.nbar)
 
 
+def _ptsv(d, e, b):
+    """Solve T x = b for T = tridiag(e, d, e) of order n >= 2, as LAPACK dptsv.
+
+    Returns (x, info): info = i > 0 when the i-th pivot (1-based) of the
+    LDL^T factorization is not positive, and x is then b unsolved.  Once
+    scipy.linalg is loaded this is dptsv.  Before that, so that a command
+    needing nothing else from scipy never imports it, the same operations
+    run in Python in LAPACK's order: the dpttrf loop, then for each
+    right-hand side dptts2's forward sweep, the division by the last pivot
+    and the back sweep.  Both paths give the same bits, but the Python one
+    is about twenty times slower: 3 ms against 0.13 ms for two right-hand
+    sides at n = 4000 (one core).
+    """
+    if "scipy.linalg" in sys.modules:
+        from scipy.linalg.lapack import dptsv
+
+        _, _, x, info = dptsv(d, e, b)
+        return x, info
+    d, e = d.tolist(), e.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if d[i] <= 0.0:
+            return b.copy(), i + 1
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    if d[n - 1] <= 0.0:
+        return b.copy(), n
+    columns = []
+    for x in b.reshape(n, -1).T.tolist():
+        for i in range(1, n):
+            x[i] = x[i] - x[i - 1] * e[i - 1]
+        x[n - 1] = x[n - 1] / d[n - 1]
+        for i in range(n - 2, -1, -1):
+            x[i] = x[i] / d[i] - x[i + 1] * e[i]
+        columns.append(x)
+    return np.array(columns).T.reshape(b.shape), 0
+
+
 def imaginary_time_step(dp, grid, values, nbar, dtau):
     """One backward-Euler imaginary-time step in w-space plus renormalization."""
     r = grid.nodes
@@ -104,7 +148,7 @@ def imaginary_time_step(dp, grid, values, nbar, dtau):
     pot = 0.5 * r**2 + dp.g * nbar * values**2
     d = 1.0 + dtau * (1.0 / h**2 + pot)
     e = np.full(grid.n_points - 1, -dtau / (2.0 * h**2))
-    _, _, w, info = dptsv(d, e, r * values)
+    w, info = _ptsv(d, e, r * values)
     if info != 0:
         raise IntegratorFailureError(f"imaginary-time solve failed: dptsv info {info}")
     w /= math.sqrt(4.0 * np.pi * h * np.sum(w**2))
@@ -126,7 +170,7 @@ def newton_step(dp, grid, values, nbar):
     w = r * values
     d = 1.0 / h**2 + 0.5 * r**2 + 3.0 * dp.g * nbar * values**2 - mu
     e = np.full(grid.n_points - 1, -0.5 / h**2)
-    _, _, ab, info = dptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
+    ab, info = _ptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
     if info != 0:
         return None
     a, b = ab[:, 0], ab[:, 1]
@@ -191,6 +235,19 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     values = _initial_guess(dp, grid)
     res = residual_norm(dp, RadialField(grid, values), dp.nbar)
+    # Applying H to a unit mode rounds by about eps * max|diag H| in the
+    # residual's norm.  Converged residuals sit at 0.2-0.35 of this floor
+    # (nbar = 1 to 1e6, 800 and 4000 points), so a tol below it is reached
+    # by chance if at all, and the loop would spend its whole budget.
+    diag = 1.0 / grid.h**2 + 0.5 * grid.nodes**2 + dp.g * dp.nbar * values**2
+    floor = _EPS * float(np.max(diag))
+    if tol < floor:
+        raise ConvergenceError(
+            f"tol {tol:.3e} is below the round-off floor {floor:.3e} of the "
+            f"residual on this grid (eps * max|diag H|); raise tol or coarsen the grid",
+            residual=res,
+            iterations=0,
+        )
     iterations = 0
     while res > tol:
         if iterations >= max_iter:
@@ -212,6 +269,17 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
             values = imaginary_time_step(dp, grid, values, dp.nbar, _DTAU)
         iterations += steps
         res = residual_norm(dp, RadialField(grid, values), dp.nbar)
+    # A nodeless eigenvector of the tridiagonal Z-matrix H[xi0] is its
+    # lowest one (Perron-Frobenius), so a sign check certifies the ground
+    # state; the clamp then only drops round-off.
+    low, high = float(np.min(values)), float(np.max(values))
+    if low < -_NODE_ULPS * _EPS * high:
+        raise ConvergenceError(
+            f"the converged state has a node (min xi0 {low:.3e}, max {high:.3e}): "
+            "it is an excited stationary state, not the ground mode",
+            residual=res,
+            iterations=iterations,
+        )
     values = np.maximum(values, 0.0)
     outer = grid.nodes > 0.9 * grid.r_max
     wall_weight = 4.0 * np.pi * grid.h * float(

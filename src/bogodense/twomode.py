@@ -28,13 +28,12 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRegimeError,
 )
+from .params import _EIG_LIMIT
 
-# Up to this size mean_n1_trace samples the cached eigensystem, on the one
-# window of eigenmodes whose discarded start weight delta^2 keeps
-# M*(2*delta + delta^2) <= _WINDOW_TOL for a unit start; above it the dense
-# eigenvector matrix gets large (> ~130 MB) and the trace steps the
-# Chebyshev propagator between sorted times.
-_EIG_LIMIT = 4000
+# mean_n1_trace samples the cached eigensystem up to M = _EIG_LIMIT (see
+# params), on the one window of eigenmodes whose discarded start weight
+# delta^2 keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a unit start;
+# above it the trace steps the Chebyshev propagator between sorted times.
 _WINDOW_TOL = 1e-12
 # Samples per block of the spectral trace, and eigenvector rows per block
 # of its window's number operator: a block holds a few window x

@@ -143,6 +143,14 @@ def test_help_names_exactly_the_config_keys(capsys):
 # ------------------------------------------------------------------ exit codes
 
 
+def test_tolerance_below_the_round_off_floor_exits_1(capsys):
+    # Refused before the first step, so no step budget is spent on it.
+    assert main(["ground", "--nbar", "100", "--tol", "1e-14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [convergence]: tol 1.000e-14 is below the round-off")
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["ground", *FAST, "--output", str(tmp_path / "g.csv")]) == 0
     capsys.readouterr()
@@ -438,19 +446,135 @@ def test_thread_cap_after_numpy_import_warns():
         assert proc.stdout == b"" and proc.stderr == b""
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse loads only inside the Chebyshev propagator and the BdG
-    # solve, so a fresh `import bogodense` (the CLI's start-up) never pays
-    # for it.
+def _fresh_python(*args, **extra_env):
+    """Run a fresh interpreter on the source tree; return its stdout."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+    return proc.stdout.decode()
+
+
+# Prints the scipy modules loaded by a CLI request run as `python -m
+# bogodense.cli ARGS...` would run it.
+_SCIPY_AFTER_REQUEST = """\
+import runpy, sys
+try:
+    runpy.run_module("bogodense.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # The package root loads only the numpy-only mean-field modules; the
+    # names of bdg, protocol and twomode load on first use.  So a fresh
+    # `import bogodense`, and a request that stops at the mean-field stages,
+    # never pays for scipy (its ground solve runs gpe._ptsv's Python path).
+    code = "import sys, bogodense; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert _fresh_python("-c", code) == "[]\n"
+    for argv in (["ground", "--tf"], ["modes"], ["figure1"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        args = [*argv, "--grid-points", "800", "--output", str(out)]
+        assert _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args) == "[]\n", argv
+        assert out.read_text().startswith("r,xi0")
+
+
+def test_public_names_resolve_lazily():
     code = (
-        "import sys, bogodense; "
-        "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])"
+        "import bogodense as b; listed = dir(b); "
+        "print([n for n in b.__all__ if n not in listed]); "
+        "print([n for n in b.__all__ if getattr(b, n, None) is None]); "
+        "print(hasattr(b, 'no_such_name'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-    assert proc.stdout == b"[]\n"
+    assert _fresh_python("-c", code) == "[]\n[]\nFalse\n"
+
+
+# The --help texts of the tree before the CLI's imports became per
+# command; `dynamics --help` names the eigenvector cap, which no longer
+# comes from twomode.  argparse's layout at 80 columns, Python 3.11.
+HELP = """\
+usage: bogodense [-h] {ground,modes,dynamics,bdg,protocol,figure1} ...
+
+Mean-density two-mode Bogoliubov dynamics of a trapped condensate
+
+positional arguments:
+  {ground,modes,dynamics,bdg,protocol,figure1}
+    ground              condensate mode xi0
+    modes               xi0, xi1 and coupling coefficients
+    dynamics            two-mode occupation traces
+    bdg                 quasiparticle spectrum
+    protocol            cyclic depletion protocol
+    figure1             mode profiles at the reference trap
+
+options:
+  -h, --help            show this help message and exit
+
+physical constants:
+  hbar is fixed to the 2018 CODATA value 1.054571817e-34 J s.
+
+units:
+  all output uses trap units (lengths in r0 = sqrt(hbar/(m*omega)), energies
+  in hbar*omega, times in 1/omega, omega = 2*pi*trap-frequency) unless --si
+  converts to metres, m^(-3/2) mode functions, joules, rad/s and seconds.
+
+config file (--config PATH):
+  flat `key = value` lines with # comments; keys are mass-kg,
+  scattering-length-m, trap-frequency-hz, nbar, n0.  Flags override file
+  values, file values override defaults.
+
+environment:
+  BOGODENSE_THREADS caps BLAS/OpenMP parallelism (set before launch);
+  parallelism never changes stdout or the --output CSV/JSON bytes, but the
+  bdg --dump-modes profiles may differ in their last digit.
+"""
+DYNAMICS_HELP = """\
+usage: bogodense dynamics [-h] [--config PATH] [--mass-kg MASS_KG]
+                          [--scattering-length-m SCATTERING_LENGTH_M]
+                          [--trap-frequency-hz TRAP_FREQUENCY_HZ]
+                          [--nbar NBAR] [--n0 N0] [--grid-points GRID_POINTS]
+                          [--r-max R_MAX] [--tol TOL] [--max-iter MAX_ITER]
+                          [--output PATH] [--format {csv,json}] [--si]
+                          [--m-total M_TOTAL] [--t-max T_MAX] [--steps STEPS]
+                          [--mode {exact,analytic,both}]
+
+options:
+  -h, --help            show this help message and exit
+  --m-total M_TOTAL     total atom number M (default round(nbar))
+  --t-max T_MAX         trace length [1/omega] (default one period)
+  --steps STEPS         number of sample rows
+  --mode {exact,analytic,both}
+                        which traces to emit (exact needs M <= 4000, the dense
+                        eigenvector cap)
+
+physical parameters:
+  --config PATH         key = value config file
+  --mass-kg MASS_KG     atomic mass [kg]
+  --scattering-length-m SCATTERING_LENGTH_M
+                        s-wave scattering length [m]
+  --trap-frequency-hz TRAP_FREQUENCY_HZ
+                        isotropic trap frequency [Hz]
+  --nbar NBAR           mean total atom number
+  --n0 N0               mean ground-mode occupation
+
+numerics:
+  --grid-points GRID_POINTS
+                        radial nodes
+  --r-max R_MAX         grid extent [r0]; default fits the cloud
+  --tol TOL             ground-solver residual
+  --max-iter MAX_ITER   solver iteration cap
+
+output:
+  --output PATH         CSV path (+ .json sidecar)
+  --format {csv,json}   stdout payload
+  --si                  convert outputs to SI units
+"""
+
+
+def test_help_text_is_unchanged():
+    assert _fresh_python("-m", "bogodense.cli", "--help", COLUMNS="80") == HELP
+    assert _fresh_python("-m", "bogodense.cli", "dynamics", "--help", COLUMNS="80") == DYNAMICS_HELP
 
 
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):

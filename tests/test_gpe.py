@@ -1,7 +1,12 @@
 import math
+import struct
+import sys
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from bogodense import (
     DimensionlessParams,
@@ -25,6 +30,7 @@ from bogodense.errors import (
 from bogodense.gpe import (
     GroundMode,
     _initial_guess,
+    _ptsv,
     chemical_potential,
     energy,
     imaginary_time_step,
@@ -124,13 +130,96 @@ def test_tolerance_must_be_finite_and_positive():
 
 
 def test_convergence_error_carries_state():
+    # A reachable tol (the round-off floor is 8.0e-13 here) with too
+    # small a step budget: the error carries the last residual and the
+    # budget spent.
     dp = to_dimensionless(reference_params(1.0e5))
     grid = default_grid(dp, n_points=1000)
     with pytest.raises(ConvergenceError) as err:
-        solve_gpe(dp, grid, tol=1e-14, max_iter=20)
-    assert err.value.iterations == 20
-    assert err.value.residual > 0.0
+        solve_gpe(dp, grid, tol=1e-11, max_iter=3)
+    assert err.value.iterations == 3
+    assert err.value.residual > 1e-11
     assert err.value.category == "convergence"
+
+
+def test_tolerance_below_the_round_off_floor_is_refused():
+    # The residual does not fall far below eps * max|diag H| (5.6e-11 on
+    # this grid, reached ~2e-11); a tol under it used to spend the whole
+    # step budget (33 s at 1e-12).
+    dp = to_dimensionless(reference_params(100.0))
+    grid = default_grid(dp)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as err:
+        solve_gpe(dp, grid, tol=1e-14)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.iterations == 0
+    assert "round-off floor 5.552e-11" in str(err.value)
+    # Just above the floor the solve converges.
+    assert solve_gpe(dp, grid, tol=5.6e-11).residual <= 5.6e-11
+
+
+def test_a_converged_state_with_a_node_is_refused(monkeypatch):
+    # Free gas: the second eigenvector of the discrete H is a stationary
+    # state with one node and a round-off residual, so a Newton trial that
+    # returns it is accepted and the loop stops; the sign check before the
+    # clamp must refuse it instead of clamping it into a wrong mode.
+    dp = to_dimensionless(reference_params(100.0, a_sc=0.0))
+    grid = default_grid(dp, n_points=500)
+    r, h = grid.nodes, grid.h
+    diag, off = 1.0 / h**2 + 0.5 * r**2, np.full(grid.n_points - 1, -0.5 / h**2)
+    _, w = eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
+    excited = w[:, 0] / r
+    excited /= math.sqrt(integrate(RadialField(grid, excited**2)))
+    assert residual_norm(dp, RadialField(grid, excited), dp.nbar) < 1e-8
+    monkeypatch.setattr(gpe, "newton_step", lambda *args: excited)
+    with pytest.raises(ConvergenceError, match="has a node") as err:
+        solve_gpe(dp, grid)
+    assert err.value.iterations == 1
+
+
+def _spd_system(n, nrhs, bad, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n - 1)
+    d = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + rng.random(n) + 0.1
+    if bad is not None:
+        d[bad] = -d[bad]  # that pivot goes non-positive
+    b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+    return d, e, b
+
+
+@pytest.mark.parametrize("bad", ["none", "middle", "last"])
+@pytest.mark.parametrize("nrhs", [None, 2])
+@pytest.mark.parametrize("n", [2, 16, 4000])
+def test_ptsv_python_path_matches_dptsv(monkeypatch, n, nrhs, bad):
+    index = {"none": None, "middle": n // 2, "last": n - 1}[bad]
+    d, e, b = _spd_system(n, nrhs, index, seed=n + 7 * (nrhs or 1))
+    _, _, want, want_info = dptsv(d, e, b)
+    assert want_info == (0 if index is None else index + 1)
+    got, info = _ptsv(d, e, b)
+    assert info == want_info and np.array_equal(got, want)
+    monkeypatch.delitem(sys.modules, "scipy.linalg")
+    got, info = _ptsv(d, e, b)
+    assert "scipy.linalg" not in sys.modules  # the Python path ran
+    assert info == want_info
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _bits(gm):
+    floats = (gm.mu, gm.nbar, gm.residual)
+    return gm.xi0.values.tobytes(), struct.pack("3d", *floats), gm.method, gm.iterations
+
+
+@pytest.mark.parametrize("nbar", [100.0, 1.0e5])
+def test_solve_gpe_bits_do_not_depend_on_the_solver_path(monkeypatch, nbar):
+    # Whichever of LAPACK's dptsv and the Python LDL^T runs (it depends on
+    # whether scipy.linalg was imported first), the goldens see the same mode.
+    dp = to_dimensionless(reference_params(nbar))
+    grid = default_grid(dp)
+    lapack = solve_gpe(dp, grid)
+    monkeypatch.delitem(sys.modules, "scipy.linalg")
+    python = solve_gpe(dp, grid)
+    assert "scipy.linalg" not in sys.modules
+    assert _bits(python) == _bits(lapack)
 
 
 def test_energy_monotone_under_imaginary_time():
