@@ -113,59 +113,38 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BogodenseError",
-    "ConfigError",
-    "ConvergenceError",
-    "CouplingCoefficients",
-    "DegenerateModeError",
-    "DimensionlessParams",
-    "EigensolverError",
-    "GroundMode",
-    "HBAR",
-    "InapplicableLawError",
-    "IntegratorFailureError",
-    "InvalidParameterError",
-    "Mode1Decomposition",
-    "ModeOne",
-    "NumberDistribution",
-    "OscillationLaw",
-    "PhysicalParams",
-    "ProtocolConfig",
-    "ProtocolInapplicableError",
-    "ProtocolResult",
-    "QuasiparticleSpectrum",
-    "RadialField",
-    "RadialGrid",
-    "TruncationOverflowError",
-    "TwoModeHamiltonian",
-    "TwoModeState",
-    "UnsupportedRegimeError",
-    "build_h01",
-    "build_xi1",
-    "coefficients",
-    "decompose_mode1",
-    "default_grid",
-    "dominant_frequency",
-    "evolve_exact",
-    "fock_state",
-    "gaussian_distribution",
-    "gaussian_mode",
-    "gpe_residual",
-    "integrate",
-    "laplacian",
-    "mean_n1",
-    "mean_n1_analytic",
-    "mean_n1_trace",
-    "moment",
-    "oscillation_law",
-    "point_distribution",
-    "project_orthogonal",
-    "run_cycle",
-    "run_protocol",
-    "solve_bdg",
-    "solve_gpe",
-    "thomas_fermi_mode",
-    "to_dimensionless",
-    "two_point_distribution",
-]
+__all__ = sorted(
+    [
+        "BogodenseError",
+        "ConfigError",
+        "ConvergenceError",
+        "CouplingCoefficients",
+        "DegenerateModeError",
+        "DimensionlessParams",
+        "EigensolverError",
+        "GroundMode",
+        "HBAR",
+        "InapplicableLawError",
+        "IntegratorFailureError",
+        "InvalidParameterError",
+        "ModeOne",
+        "PhysicalParams",
+        "ProtocolInapplicableError",
+        "RadialField",
+        "RadialGrid",
+        "TruncationOverflowError",
+        "UnsupportedRegimeError",
+        "build_xi1",
+        "coefficients",
+        "default_grid",
+        "gaussian_mode",
+        "gpe_residual",
+        "integrate",
+        "laplacian",
+        "moment",
+        "solve_gpe",
+        "thomas_fermi_mode",
+        "to_dimensionless",
+    ]
+    + list(_LAZY_MODULE)
+)

@@ -28,6 +28,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
 
 from .errors import EigensolverError, InvalidParameterError
 from .grid import RadialField, integrate
+from .params import _count
 
 # Eigenvalues with omega below this are treated as the Goldstone zero mode.
 OMEGA_TOL = 1e-3
@@ -79,8 +80,7 @@ def solve_bdg(gm, dp, num_modes=8):
             "quasiparticle solve needs a smooth mode; the Thomas-Fermi "
             "profile has a kink at the classical radius"
         )
-    if num_modes < 1:
-        raise InvalidParameterError(f"num_modes must be >= 1, got {num_modes}")
+    num_modes = _count(num_modes, "num_modes", 1)
     grid = gm.xi0.grid
     n = grid.n_points
     k = num_modes + 4

@@ -236,22 +236,22 @@ def _stages(cfg):
 
 
 def _scales(cfg, dp):
-    """Output factors for lengths, energies and frequencies (1 in trap units)."""
+    """Factors for lengths, mode functions, energies and frequencies (1 in trap units)."""
     if not cfg.si:
-        return 1.0, 1.0, 1.0
+        return 1.0, 1.0, 1.0, 1.0
     omega = cfg.physical.omega
-    return dp.r0, HBAR * omega, omega
+    lr = dp.r0
+    return lr, lr**-1.5, HBAR * omega, omega
 
 
 def _cmd_ground(cfg):
     dp, grid, gm, _, _ = _stages(cfg)
-    lr, es, _ = _scales(cfg, dp)
+    lr, mf, es, _ = _scales(cfg, dp)
     header = ["r", "xi0"]
-    columns = [grid.nodes * lr, gm.xi0.values * lr**-1.5]
+    columns = [grid.nodes * lr, gm.xi0.values * mf]
     if cfg.tf and dp.g > 0:
-        tf = thomas_fermi_mode(dp, grid)
         header.append("xi0_tf")
-        columns.append(tf.xi0.values * lr**-1.5)
+        columns.append(thomas_fermi_mode(dp, grid).xi0.values * mf)
     summary = {
         "mu": gm.mu * es,
         "nbar": gm.nbar,
@@ -276,13 +276,9 @@ def _coefficient_summary(coeffs, es):
 
 def _cmd_modes(cfg):
     dp, grid, gm, m1, coeffs = _stages(cfg)
-    lr, es, _ = _scales(cfg, dp)
+    lr, mf, es, _ = _scales(cfg, dp)
     header = ["r", "xi0", "xi1"]
-    columns = [
-        grid.nodes * lr,
-        gm.xi0.values * lr**-1.5,
-        m1.xi1.values * lr**-1.5,
-    ]
+    columns = [grid.nodes * lr, gm.xi0.values * mf, m1.xi1.values * mf]
     _deliver(cfg, header, columns, _coefficient_summary(coeffs, es))
 
 
@@ -310,7 +306,7 @@ def _cmd_dynamics(cfg):
     if cfg.t_max is not None and not math.isfinite(cfg.t_max):
         raise ConfigError(f"--t-max must be finite, got {cfg.t_max}")
     dp, _, _, _, coeffs = _stages(cfg)
-    _, _, freq = _scales(cfg, dp)
+    *_, freq = _scales(cfg, dp)
     law = oscillation_law(coeffs, m_total)
     t_max = cfg.t_max
     if t_max is None:
@@ -350,7 +346,7 @@ def _cmd_bdg(cfg):
     if cfg.num_modes < 1:
         raise ConfigError(f"--num-modes must be >= 1, got {cfg.num_modes}")
     dp, grid, gm, m1, _ = _stages(cfg)
-    lr, es, freq = _scales(cfg, dp)
+    lr, mf, es, freq = _scales(cfg, dp)
     spectrum = solve_bdg(gm, dp, num_modes=cfg.num_modes)
     decomp = decompose_mode1(m1, spectrum)
     k = np.arange(1, len(spectrum.modes) + 1)
@@ -369,7 +365,7 @@ def _cmd_bdg(cfg):
         dump_columns = [grid.nodes * lr]
         for i, mode in enumerate(spectrum.modes, 1):
             dump_header += [f"u_{i}", f"v_{i}"]
-            dump_columns += [mode.u.values * lr**-1.5, mode.v.values * lr**-1.5]
+            dump_columns += [mode.u.values * mf, mode.v.values * mf]
         with open(cfg.dump_modes, "w", encoding="utf-8") as fh:
             fh.write(_csv_text(dump_header, dump_columns))
 
@@ -429,7 +425,7 @@ def _cmd_protocol(cfg):
     # evaluated with nbar = n0.
     cfg.physical = replace(cfg.physical, nbar=n0)
     dp, _, _, _, coeffs = _stages(cfg)
-    _, _, freq = _scales(cfg, dp)
+    *_, freq = _scales(cfg, dp)
     pcfg = ProtocolConfig(n0=n0, coeffs=coeffs, cycles=cfg.cycles, m_max=init.m_max)
     result = run_protocol(init, pcfg)
     cycles = np.arange(result.means.size)
@@ -450,15 +446,14 @@ def _cmd_protocol(cfg):
 
 def _cmd_figure1(cfg):
     dp, grid, gm, m1, coeffs = _stages(cfg)
-    lr, es, _ = _scales(cfg, dp)
+    lr, mf, es, _ = _scales(cfg, dp)
     header = ["r", "xi0_numeric"]
-    columns = [grid.nodes * lr, gm.xi0.values * lr**-1.5]
+    columns = [grid.nodes * lr, gm.xi0.values * mf]
     if dp.g > 0:
-        tf = thomas_fermi_mode(dp, grid)
         header.append("xi0_tf")
-        columns.append(tf.xi0.values * lr**-1.5)
+        columns.append(thomas_fermi_mode(dp, grid).xi0.values * mf)
     header.append("xi1")
-    columns.append(m1.xi1.values * lr**-1.5)
+    columns.append(m1.xi1.values * mf)
     summary = {
         "b_tf": dp.b_tf,
         "nbar": dp.nbar,

@@ -16,7 +16,7 @@ stability limit followed by renormalization, and Newton is tried again.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,41 +65,39 @@ class GroundMode:
             raise InvalidParameterError("ground mode must be non-negative")
 
 
-def _apply_h(dp, xi, nbar):
-    """Action of the GP Hamiltonian with the interaction evaluated at xi."""
+def _apply_h(dp, xi):
+    """H[xi] xi, the interaction evaluated at xi, and its Rayleigh quotient mu."""
     lap = laplacian(xi)
     r = xi.grid.nodes
-    values = -0.5 * lap.values + (0.5 * r**2 + dp.g * nbar * xi.values**2) * xi.values
-    return RadialField(xi.grid, values)
+    hxi = -0.5 * lap.values + (0.5 * r**2 + dp.g * dp.nbar * xi.values**2) * xi.values
+    return hxi, integrate(RadialField(xi.grid, xi.values * hxi))
 
 
-def chemical_potential(dp, xi, nbar):
-    hxi = _apply_h(dp, xi, nbar)
-    return integrate(RadialField(xi.grid, xi.values * hxi.values))
+def chemical_potential(dp, xi):
+    return _apply_h(dp, xi)[1]
 
 
-def energy(dp, xi, nbar):
+def energy(dp, xi):
     """GP energy functional; decreases monotonically under imaginary time."""
-    mu = chemical_potential(dp, xi, nbar)
+    mu = chemical_potential(dp, xi)
     quartic = integrate(RadialField(xi.grid, xi.values**4))
-    return mu - 0.5 * dp.g * nbar * quartic
+    return mu - 0.5 * dp.g * dp.nbar * quartic
 
 
-def residual_norm(dp, xi, nbar):
-    hxi = _apply_h(dp, xi, nbar)
-    mu = integrate(RadialField(xi.grid, xi.values * hxi.values))
-    res = hxi.values - mu * xi.values
+def residual_norm(dp, xi):
+    hxi, mu = _apply_h(dp, xi)
+    res = hxi - mu * xi.values
     return math.sqrt(integrate(RadialField(xi.grid, res * res)))
 
 
 def gpe_residual(gm, dp):
-    """L2 norm of (H[xi0] - mu) xi0 with the discrete operators.
+    """L2 norm of (H[xi0] - mu) xi0 with the discrete operators, at gm.nbar.
 
     Converged numeric modes sit at the solver tolerance; analytic profiles
     (Gaussian with g = 0, Thomas-Fermi) show the discretization floor
     instead.
     """
-    return residual_norm(dp, gm.xi0, gm.nbar)
+    return residual_norm(replace(dp, nbar=gm.nbar), gm.xi0)
 
 
 def _ptsv(d, e, b):
@@ -141,21 +139,25 @@ def _ptsv(d, e, b):
     return np.array(columns).T.reshape(b.shape), 0
 
 
-def imaginary_time_step(dp, grid, values, nbar, dtau):
+def _unit_w(grid, w):
+    """xi = w/r with w scaled to unit norm 4*pi*h*sum(w^2)."""
+    return w / math.sqrt(4.0 * np.pi * grid.h * np.sum(w**2)) / grid.nodes
+
+
+def imaginary_time_step(dp, grid, values, dtau):
     """One backward-Euler imaginary-time step in w-space plus renormalization."""
     r = grid.nodes
     h = grid.h
-    pot = 0.5 * r**2 + dp.g * nbar * values**2
+    pot = 0.5 * r**2 + dp.g * dp.nbar * values**2
     d = 1.0 + dtau * (1.0 / h**2 + pot)
     e = np.full(grid.n_points - 1, -dtau / (2.0 * h**2))
     w, info = _ptsv(d, e, r * values)
     if info != 0:
         raise IntegratorFailureError(f"imaginary-time solve failed: dptsv info {info}")
-    w /= math.sqrt(4.0 * np.pi * h * np.sum(w**2))
-    return w / r
+    return _unit_w(grid, w)
 
 
-def newton_step(dp, grid, values, nbar):
+def newton_step(dp, grid, values):
     """One Newton step for (xi0, mu) under the norm constraint, in w-space.
 
     With mu the Rayleigh quotient, f = (H[xi] - mu) w and J the Jacobian
@@ -165,26 +167,30 @@ def newton_step(dp, grid, values, nbar):
     """
     r = grid.nodes
     h = grid.h
-    hxi = _apply_h(dp, RadialField(grid, values), nbar).values
-    mu = integrate(RadialField(grid, values * hxi))
+    hxi, mu = _apply_h(dp, RadialField(grid, values))
     w = r * values
-    d = 1.0 / h**2 + 0.5 * r**2 + 3.0 * dp.g * nbar * values**2 - mu
+    d = 1.0 / h**2 + 0.5 * r**2 + 3.0 * dp.g * dp.nbar * values**2 - mu
     e = np.full(grid.n_points - 1, -0.5 / h**2)
     ab, info = _ptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
     if info != 0:
         return None
     a, b = ab[:, 0], ab[:, 1]
-    w = w - a + (np.sum(w * a) / np.sum(w * b)) * b
-    w /= math.sqrt(4.0 * np.pi * h * np.sum(w**2))
-    return w / r
+    return _unit_w(grid, w - a + (np.sum(w * a) / np.sum(w * b)) * b)
+
+
+def _thomas_fermi(dp, grid):
+    """The Thomas-Fermi profile of thomas_fermi_mode and its mu."""
+    mu = 0.5 * dp.b_tf
+    return np.sqrt(np.maximum(mu - 0.5 * grid.nodes**2, 0.0) / (dp.g * dp.nbar)), mu
+
+
+def _gaussian(grid):
+    """The oscillator ground state of gaussian_mode."""
+    return np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
 
 
 def _initial_guess(dp, grid):
-    if dp.g > 0 and dp.b_tf > 2.0:
-        mu = 0.5 * dp.b_tf
-        values = np.sqrt(np.maximum(mu - 0.5 * grid.nodes**2, 0.0) / (dp.g * dp.nbar))
-    else:
-        values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
+    values = _thomas_fermi(dp, grid)[0] if dp.g > 0 and dp.b_tf > 2.0 else _gaussian(grid)
     norm = integrate(RadialField(grid, values**2))
     if not norm > 0.0:
         raise InvalidParameterError(
@@ -234,7 +240,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     values = _initial_guess(dp, grid)
-    res = residual_norm(dp, RadialField(grid, values), dp.nbar)
+    res = residual_norm(dp, RadialField(grid, values))
     # Applying H to a unit mode rounds by about eps * max|diag H| in the
     # residual's norm.  Converged residuals sit at 0.2-0.35 of this floor
     # (nbar = 1 to 1e6, 800 and 4000 points), so a tol below it is reached
@@ -257,18 +263,18 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
                 residual=res,
                 iterations=iterations,
             )
-        trial = newton_step(dp, grid, values, dp.nbar)
+        trial = newton_step(dp, grid, values)
         if trial is not None:
-            trial_res = residual_norm(dp, RadialField(grid, trial), dp.nbar)
+            trial_res = residual_norm(dp, RadialField(grid, trial))
             if trial_res < res:
                 values, res = trial, trial_res
                 iterations += 1
                 continue
         steps = min(_FALLBACK_STEPS, max_iter - iterations)
         for _ in range(steps):
-            values = imaginary_time_step(dp, grid, values, dp.nbar, _DTAU)
+            values = imaginary_time_step(dp, grid, values, _DTAU)
         iterations += steps
-        res = residual_norm(dp, RadialField(grid, values), dp.nbar)
+        res = residual_norm(dp, RadialField(grid, values))
     # A nodeless eigenvector of the tridiagonal Z-matrix H[xi0] is its
     # lowest one (Perron-Frobenius), so a sign check certifies the ground
     # state; the clamp then only drops round-off.
@@ -294,7 +300,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     xi0 = RadialField(grid, values)
     return GroundMode(
         xi0=xi0,
-        mu=chemical_potential(dp, xi0, dp.nbar),
+        mu=chemical_potential(dp, xi0),
         nbar=dp.nbar,
         method="numeric",
         residual=res,
@@ -311,23 +317,21 @@ def thomas_fermi_mode(dp, grid):
     """
     if dp.g <= 0:
         raise UnsupportedRegimeError("Thomas-Fermi profile requires g > 0")
-    mu = 0.5 * dp.b_tf
-    values = np.sqrt(np.maximum(mu - 0.5 * grid.nodes**2, 0.0) / (dp.g * dp.nbar))
+    values, mu = _thomas_fermi(dp, grid)
     xi0 = RadialField(grid, values)
     return GroundMode(
         xi0=xi0,
         mu=mu,
         nbar=dp.nbar,
         method="thomas_fermi",
-        residual=residual_norm(dp, xi0, dp.nbar),
+        residual=residual_norm(dp, xi0),
         iterations=0,
     )
 
 
 def gaussian_mode(grid, nbar):
     """Oscillator ground state, the exact g = 0 mode (mu = 3/2)."""
-    values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
-    xi0 = RadialField(grid, values)
+    xi0 = RadialField(grid, _gaussian(grid))
     return GroundMode(
         xi0=xi0, mu=1.5, nbar=nbar, method="gaussian", residual=0.0, iterations=0
     )

@@ -8,6 +8,8 @@ g = 4 * pi * a_sc / r0.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -20,6 +22,23 @@ HBAR = 1.054571817e-34
 # dynamics trace.  It lives in this scipy-free module so that the CLI's
 # --help need not import twomode.
 _EIG_LIMIT = 4000
+
+
+def _count(value, what, low):
+    """value as an int; InvalidParameterError unless it is an integer >= low.
+
+    Python and numpy integers pass, and so do integral floats such as 3.0;
+    2.5, nan and inf do not.  The two-mode and protocol entry points and
+    solve_bdg check their atom numbers and counts with it.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        whole = isinstance(value, numbers.Real) and float(value).is_integer()
+        count = int(value) if whole else None
+    if count is None or count < low:
+        raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)

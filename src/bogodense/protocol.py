@@ -28,6 +28,7 @@ from .errors import (
     ProtocolInapplicableError,
     TruncationOverflowError,
 )
+from .params import _count
 from .twomode import build_h01, oscillation_law, propagate
 
 
@@ -100,12 +101,11 @@ class NumberDistribution:
 
 
 def point_distribution(m, m_max=None):
-    m = int(m)
-    if m_max is None:
-        m_max = m
-    if m < 0 or m > m_max:
+    m = _count(m, "point mass M", 0)
+    m_max = m if m_max is None else _count(m_max, "m_max", 0)
+    if m > m_max:
         raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
-    probs = np.zeros(int(m_max) + 1)
+    probs = np.zeros(m_max + 1)
     probs[m] = 1.0
     return NumberDistribution(probs)
 
@@ -113,7 +113,7 @@ def point_distribution(m, m_max=None):
 def gaussian_distribution(mean, sigma, m_max):
     if sigma <= 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    m = np.arange(int(m_max) + 1)
+    m = np.arange(_count(m_max, "m_max", 0) + 1)
     # A tiny sigma overflows z**2 to inf off the mean, and exp(-inf) = 0 is
     # the right weight there: the result is the point mass.
     with np.errstate(over="ignore"):
@@ -125,15 +125,15 @@ def gaussian_distribution(mean, sigma, m_max):
 
 
 def two_point_distribution(m1, m2, m_max=None, weight=0.5):
-    m1, m2 = int(m1), int(m2)
     if m_max is None:
         m_max = max(m1, m2)
     for m in (m1, m2):
         if not 0 <= m <= m_max:
             raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
+    m1, m2 = _count(m1, "point mass M", 0), _count(m2, "point mass M", 0)
     if not 0.0 <= weight <= 1.0:
         raise InvalidParameterError(f"weight must be in [0, 1], got {weight}")
-    probs = np.zeros(int(m_max) + 1)
+    probs = np.zeros(_count(m_max, "m_max", 0) + 1)
     probs[m1] += weight
     probs[m2] += 1.0 - weight
     return NumberDistribution(probs)
@@ -153,10 +153,8 @@ class ProtocolConfig:
     m_max: int
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise InvalidParameterError(f"cycles must be >= 1, got {self.cycles}")
-        if self.m_max < 1:
-            raise InvalidParameterError(f"m_max must be >= 1, got {self.m_max}")
+        object.__setattr__(self, "cycles", _count(self.cycles, "cycles", 1))
+        object.__setattr__(self, "m_max", _count(self.m_max, "m_max", 1))
         if not abs(self.coeffs.nbar - self.n0) <= 1e-6 * max(1.0, abs(self.n0)):
             raise InvalidParameterError(
                 f"coefficients were built at nbar = {self.coeffs.nbar}, "
@@ -186,11 +184,7 @@ class ProtocolConfig:
         with the one built alone to round-off, and the kernels depend only
         on ms.
         """
-        ms = list(ms)
-        for m in ms:
-            if not (m >= 0 and float(m).is_integer()):
-                raise InvalidParameterError(f"sector M = {m!r} is not an integer >= 0")
-        ms = [int(m) for m in ms]
+        ms = [_count(m, "sector M", 0) for m in ms]
         order = sorted((i for i, m in enumerate(ms) if m > 0), key=lambda i: -ms[i])
         out = [np.ones(1)] * len(ms)
         if not order:

@@ -19,6 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Imported here, not in the functions that call them: once scipy.linalg is
+# loaded, gpe._ptsv runs LAPACK's dptsv instead of its Python LDL^T (about
+# ten times slower).  A protocol at desk sizes calls neither routine, so
+# this import is what keeps its ground solves on LAPACK.
 from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dpbtrf
 
@@ -28,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRegimeError,
 )
-from .params import _EIG_LIMIT
+from .params import _EIG_LIMIT, _count
 
 # mean_n1_trace samples the cached eigensystem up to M = _EIG_LIMIT (see
 # params), on the one window of eigenmodes whose discarded start weight
@@ -54,15 +59,17 @@ _TAIL_TOL = 1e-12
 # into equal steps of at most half that.
 _Z_MAX = 1e6
 # A sector whose Gershgorin series runs more than _REFINE_TERMS terms is
-# scaled by a certified tight interval instead.  Its 15-20 banded
-# Cholesky factorizations cost 0.3-3 ms at M = 130-5000 (one core), as
-# much as 100-300 terms of the sector in a stacked recursion, and
-# Gershgorin overstates the half-width by 2-18 %, so it pays from about
-# 2000 terms: a protocol at n0 = 1000, whose top 216 sectors run
-# 2000-2600 terms, builds its 1190 kernels in 4.9-5.2 s with it and in
-# 5.6-6.0 s without.  The certificates run one Hamiltonian at a time:
-# each costs at most a few per cent of the series it shortens.  Each end
-# is bisected to _BISECT_TOL Gershgorin half-widths.
+# scaled by a certified tight interval instead.  Its 15-20 banded Cholesky
+# factorizations (at most 11 per end) cost 0.24, 1.0 and 4.1 ms at M =
+# 130, 1000 and 5000 (one core), and Gershgorin overstates the half-width
+# by 2-18 %.  In a stack of 16 sectors of a protocol at n0 = 1000 the
+# certificates cost 1.5 ms more than they save at 1800 terms and save
+# 5 ms at 2600, so they pay from about 2000 terms.  That protocol's 1190
+# kernels, the top 216 sectors at 2000-2600 terms, build in 5.8-6.2 s
+# with them and in 5.7-6.2 s without: the gain is below the noise there.
+# The certificates run one Hamiltonian at a time: each costs at most a
+# few per cent of the series it shortens.  Each end is bisected to
+# _BISECT_TOL Gershgorin half-widths.
 _REFINE_TERMS = 2000
 _BISECT_TOL = 1e-3
 # Cholesky's backward error on a band of width p = 2 (Higham, Accuracy and
@@ -94,9 +101,8 @@ class TwoModeHamiltonian:
     _interval: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        m = self.m_total
-        if m < 1:
-            raise InvalidParameterError(f"m_total must be >= 1, got {m}")
+        m = _count(self.m_total, "m_total", 1)
+        object.__setattr__(self, "m_total", m)
         for name, size in (("diag", m + 1), ("off1", m), ("off2", m - 1)):
             band = np.array(getattr(self, name), dtype=float)
             if band.shape != (size,):
@@ -114,8 +120,7 @@ class TwoModeHamiltonian:
         band = np.zeros((3, m + 1))
         band[0] = self.diag
         band[1, :m] = self.off1
-        if m >= 2:
-            band[2, : m - 1] = self.off2
+        band[2, : m - 1] = self.off2
         return band
 
     def to_dense(self):
@@ -124,10 +129,9 @@ class TwoModeHamiltonian:
         idx = np.arange(m)
         a[idx + 1, idx] = self.off1
         a[idx, idx + 1] = self.off1
-        if m >= 2:
-            idx = np.arange(m - 1)
-            a[idx + 2, idx] = self.off2
-            a[idx, idx + 2] = self.off2
+        idx = np.arange(m - 1)
+        a[idx + 2, idx] = self.off2
+        a[idx, idx + 2] = self.off2
         return a
 
     def eigensystem(self):
@@ -157,10 +161,11 @@ class TwoModeState:
 
 
 def fock_state(m_total, n1=0):
+    m_total = _count(m_total, "m_total", 0)
     if not 0 <= n1 <= m_total:
         raise InvalidParameterError(f"n1 = {n1} outside 0..{m_total}")
     amp = np.zeros(m_total + 1, dtype=complex)
-    amp[n1] = 1.0
+    amp[_count(n1, "n1", 0)] = 1.0
     return TwoModeState(m_total=m_total, amplitudes=amp)
 
 
@@ -175,7 +180,7 @@ def build_h01(coeffs, m_total):
       off1[n]  = g01*(M-n-1-nbar)*sqrt((n+1)*(M-n))
       off2[n]  = (gamma/2)*sqrt((n+1)*(n+2)*(M-n)*(M-n-1))
     """
-    m = int(m_total)
+    m = _count(m_total, "m_total", 1)
     nbar = coeffs.nbar
     ga2 = coeffs.g_alpha2
     n = np.arange(m + 1, dtype=float)
@@ -605,8 +610,7 @@ class OscillationLaw:
 
 def oscillation_law(coeffs, m_total):
     """Closed-form oscillation parameters of the linearized two-mode model."""
-    if m_total < 1:
-        raise InvalidParameterError(f"m_total must be >= 1, got {m_total}")
+    m_total = _count(m_total, "m_total", 1)
     # Python floats raise OverflowError where numpy would return inf: in
     # float(M) above about 1.8e308 and in the powers below.
     try:
@@ -632,7 +636,7 @@ def oscillation_law(coeffs, m_total):
         )
     if hw2 <= 0:
         return OscillationLaw(
-            m_total=int(m_total),
+            m_total=m_total,
             omega_prime=float("nan"),
             c1=float("nan"),
             c2=float("nan"),
@@ -641,7 +645,7 @@ def oscillation_law(coeffs, m_total):
     c1 = (gm**2 + lam2) / hw2
     c2 = lam2 * (delta - gm) ** 2 / hw2**2
     return OscillationLaw(
-        m_total=int(m_total),
+        m_total=m_total,
         omega_prime=math.sqrt(hw2),
         c1=c1,
         c2=c2,

@@ -491,6 +491,15 @@ def test_public_names_resolve_lazily():
     assert _fresh_python("-c", code) == "[]\n[]\nFalse\n"
 
 
+def test_protocol_names_keep_ground_solves_on_lapack():
+    # gpe._ptsv runs dptsv only once scipy.linalg is loaded.  An in-process
+    # protocol at desk sizes calls no scipy.linalg routine itself, so it is
+    # twomode's import at module top that keeps its ground solves on LAPACK
+    # instead of the Python LDL^T (about ten times slower).
+    code = "import sys, bogodense; bogodense.ProtocolConfig; print('scipy.linalg' in sys.modules)"
+    assert _fresh_python("-c", code) == "True\n"
+
+
 # The --help texts of the tree before the CLI's imports became per
 # command; `dynamics --help` names the eigenvector cap, which no longer
 # comes from twomode.  argparse's layout at 80 columns, Python 3.11.

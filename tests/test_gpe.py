@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ def test_normalization_and_nonnegativity(fig1):
 def test_residual_at_tolerance(fig1):
     gm, dp = fig1["gm"], fig1["dp"]
     assert gpe_residual(gm, dp) <= 1e-8
+    # The residual is taken at the mode's own nbar, whatever dp carries.
+    assert gpe_residual(gm, replace(dp, nbar=2.0 * dp.nbar)) == gpe_residual(gm, dp)
 
 
 def test_residual_discretization_floor():
@@ -170,7 +173,7 @@ def test_a_converged_state_with_a_node_is_refused(monkeypatch):
     _, w = eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
     excited = w[:, 0] / r
     excited /= math.sqrt(integrate(RadialField(grid, excited**2)))
-    assert residual_norm(dp, RadialField(grid, excited), dp.nbar) < 1e-8
+    assert residual_norm(dp, RadialField(grid, excited)) < 1e-8
     monkeypatch.setattr(gpe, "newton_step", lambda *args: excited)
     with pytest.raises(ConvergenceError, match="has a node") as err:
         solve_gpe(dp, grid)
@@ -227,10 +230,10 @@ def test_energy_monotone_under_imaginary_time():
     grid = default_grid(dp, n_points=1500)
     values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
     values /= math.sqrt(integrate(RadialField(grid, values**2)))
-    energies = [energy(dp, RadialField(grid, values), dp.nbar)]
+    energies = [energy(dp, RadialField(grid, values))]
     for _ in range(60):
-        values = imaginary_time_step(dp, grid, values, dp.nbar, 0.02)
-        energies.append(energy(dp, RadialField(grid, values), dp.nbar))
+        values = imaginary_time_step(dp, grid, values, 0.02)
+        energies.append(energy(dp, RadialField(grid, values)))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10)
     assert energies[-1] < energies[0]
@@ -254,12 +257,12 @@ def test_matches_tightly_converged_imaginary_time(nbar):
     values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
     values /= math.sqrt(integrate(RadialField(grid, values**2)))
     for _ in range(20000):
-        if residual_norm(dp, RadialField(grid, values), dp.nbar) <= 1e-10:
+        if residual_norm(dp, RadialField(grid, values)) <= 1e-10:
             break
-        values = imaginary_time_step(dp, grid, values, dp.nbar, 0.02)
+        values = imaginary_time_step(dp, grid, values, 0.02)
     ref = RadialField(grid, values)
-    assert residual_norm(dp, ref, dp.nbar) <= 1e-10
-    ref_mu = chemical_potential(dp, ref, dp.nbar)
+    assert residual_norm(dp, ref) <= 1e-10
+    ref_mu = chemical_potential(dp, ref)
     gm = solve_gpe(dp, grid)
     assert np.max(np.abs(gm.xi0.values - values)) <= 1e-9 * np.max(np.abs(values))
     assert abs(gm.mu - ref_mu) <= 1e-10 * ref_mu
@@ -270,7 +273,7 @@ def test_imaginary_time_runs_until_the_jacobian_is_positive_definite():
     # so dptsv refuses the Newton step and an imaginary-time block runs.
     dp = to_dimensionless(reference_params(100.0))
     grid = default_grid(dp)
-    assert newton_step(dp, grid, _initial_guess(dp, grid), dp.nbar) is None
+    assert newton_step(dp, grid, _initial_guess(dp, grid)) is None
     gm = solve_gpe(dp, grid)
     assert gm.residual <= 1e-8
     assert 10 < gm.iterations <= 20
@@ -278,10 +281,10 @@ def test_imaginary_time_runs_until_the_jacobian_is_positive_definite():
     dp = to_dimensionless(reference_params(1.0e5))
     grid = default_grid(dp)
     guess = _initial_guess(dp, grid)
-    step = newton_step(dp, grid, guess, dp.nbar)
+    step = newton_step(dp, grid, guess)
     assert step is not None
-    assert residual_norm(dp, RadialField(grid, step), dp.nbar) < residual_norm(
-        dp, RadialField(grid, guess), dp.nbar
+    assert residual_norm(dp, RadialField(grid, step)) < residual_norm(
+        dp, RadialField(grid, guess)
     )
 
 
@@ -302,7 +305,7 @@ def test_imaginary_time_refusal_is_categorized():
     dp = to_dimensionless(reference_params(100.0))
     grid = default_grid(dp, n_points=500)
     with pytest.raises(IntegratorFailureError) as err:
-        imaginary_time_step(dp, grid, _initial_guess(dp, grid), dp.nbar, -1.0)
+        imaginary_time_step(dp, grid, _initial_guess(dp, grid), -1.0)
     assert err.value.category == "integrator-failure"
 
 

@@ -1,8 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
-from bogodense import HBAR, PhysicalParams, to_dimensionless
+from bogodense import (
+    HBAR,
+    PhysicalParams,
+    ProtocolConfig,
+    build_h01,
+    fock_state,
+    gaussian_distribution,
+    oscillation_law,
+    point_distribution,
+    run_protocol,
+    solve_bdg,
+    to_dimensionless,
+    two_point_distribution,
+)
 from bogodense.errors import InvalidParameterError
 
 from oracles import reference_params
@@ -102,3 +116,40 @@ def test_unrepresentable_oscillator_length_rejected(mass, trap_frequency):
     )
     with pytest.raises(InvalidParameterError):
         to_dimensionless(params)
+
+
+def _protocol(case, cycles=2, m_max=3):
+    return ProtocolConfig(n0=100.0, coeffs=case["coeffs"], cycles=cycles, m_max=m_max)
+
+
+# Each entry point that takes an atom number or a count, called with that
+# argument set to n, and the part of its result that depends on n.
+COUNTS = {
+    "build_h01": lambda c, n: build_h01(c["coeffs"], n).diag,
+    "oscillation_law": lambda c, n: oscillation_law(c["coeffs"], n).omega_prime,
+    "fock_state": lambda c, n: fock_state(n).amplitudes,
+    "fock_state-n1": lambda c, n: fock_state(3, n).amplitudes,
+    "point_distribution": lambda c, n: point_distribution(n).probabilities,
+    "point_distribution-m_max": lambda c, n: point_distribution(2, n).probabilities,
+    "two_point_distribution": lambda c, n: two_point_distribution(n, 4).probabilities,
+    "two_point_distribution-m_max": lambda c, n: two_point_distribution(1, 2, n).probabilities,
+    "gaussian_distribution": lambda c, n: gaussian_distribution(1.0, 1.0, n).probabilities,
+    "ProtocolConfig-cycles": lambda c, n: run_protocol(
+        point_distribution(3), _protocol(c, cycles=n)
+    ).means,
+    "ProtocolConfig-m_max": lambda c, n: run_protocol(
+        point_distribution(3), _protocol(c, m_max=n)
+    ).means,
+    "ProtocolConfig.kernels": lambda c, n: _protocol(c).kernels([n])[0],
+    "solve_bdg": lambda c, n: solve_bdg(c["gm"], c["dp"], num_modes=n).frequencies,
+}
+
+
+@pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS)
+def test_counts_must_be_integers(case100, call):
+    # 2.5 built M = 2, truncated a distribution's support, raised a bare
+    # TypeError or IndexError, or reached ARPACK as a SystemError.
+    with pytest.raises(InvalidParameterError, match="integer"):
+        call(case100, 2.5)
+    # numpy integers give the bytes of the Python integer.
+    assert np.array_equal(call(case100, np.int64(3)), call(case100, 3))

@@ -267,6 +267,24 @@ def test_chebyshev_matches_dense_eigh(
         assert np.max(np.abs(got - dense(hh, x))) < 1e-10
 
 
+@pytest.mark.parametrize("z, terms", [(1e-7, 3), (1e-12, 2), (1e-20, 1), (1e-29, 1)])
+def test_bessel_series_rescales_at_tiny_z(z, terms):
+    # Miller's recurrence grows by about 2k/z a step, so at these z it
+    # passes 1e150 and is rescaled on the way down: once at 1e-7 and
+    # 1e-12, twice at 1e-20 and four times at 1e-29.  A Chebyshev step
+    # between two sample times 1e-12 apart lands here.  Without the
+    # rescale the recurrence overflows at 1e-20 and 1e-29, and without the
+    # matching rescale of the stored values every case here is wrong.
+    j, tail = twomode._bessel_series(z)
+    assert j.size == terms
+    assert abs(j[0] - (1.0 - z * z / 4.0)) <= 2.0 * math.ulp(1.0)
+    if terms > 1:
+        assert abs(j[1] - (z / 2.0 - z**3 / 16.0)) <= 2.0 * math.ulp(z / 2.0)
+    # The tail is 2 J_K(z) = 2 (z/2)^K / K! to leading order: z at K = 1,
+    # z^2/4 at K = 2 and z^3/24 at K = 3.
+    assert tail == pytest.approx(2.0 * (z / 2.0) ** terms / math.factorial(terms), rel=1e-7)
+
+
 def test_long_times_run_in_steps(monkeypatch):
     # A series holds about z = half-width * |t| coefficients: past _Z_MAX
     # one series is refused, and evolve_exact splits its time instead.
@@ -641,7 +659,7 @@ def test_transfer_coefficient_chain_near_working_point():
         g01=g01,
         nbar=nbar,
     )
-    for m in (nbar + math.sqrt(nbar), nbar - math.sqrt(nbar)):
+    for m in (round(nbar + math.sqrt(nbar)), round(nbar - math.sqrt(nbar))):
         law = oscillation_law(coeffs, m)
         ratio = law.c2 * 16.0 * m / (m - nbar) ** 2
         assert 0.5 < ratio < 2.0
