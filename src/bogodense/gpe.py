@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .grid import RadialField, integrate, laplacian
+from .params import _count, _real
 
 _METHODS = ("numeric", "thomas_fermi", "gaussian")
 # A ground mode may keep at most this weight in the outer tenth of the
@@ -237,8 +238,8 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
         raise UnsupportedRegimeError(
             f"attractive interactions (g = {dp.g}) are not supported"
         )
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
+    tol = _real(tol, "tol", 0.0, strict=True)
+    max_iter = _count(max_iter, "max_iter", 0)
     values = _initial_guess(dp, grid)
     res = residual_norm(dp, RadialField(grid, values))
     # Applying H to a unit mode rounds by about eps * max|diag H| in the

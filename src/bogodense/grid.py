@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
+from .params import _count, _real
 
 # Largest r_max (trap units) for which 4*pi*r_max^3, the scale of the
 # quadrature weights 4*pi*r^2*h summed over the grid, stays a finite float.
@@ -25,19 +26,16 @@ class RadialGrid:
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.r_max > 0 and np.isfinite(self.r_max)):
-            raise InvalidParameterError(f"r_max must be positive, got {self.r_max}")
-        if not self.r_max <= _R_MAX_LIMIT:
+        r_max = _real(self.r_max, "r_max", 0.0, strict=True)
+        if not r_max <= _R_MAX_LIMIT:
             raise InvalidParameterError(
-                f"r_max = {self.r_max:g} exceeds {_R_MAX_LIMIT:g}: the volume "
+                f"r_max = {r_max:g} exceeds {_R_MAX_LIMIT:g}: the volume "
                 f"quadrature's 4*pi*r^2*h weights would overflow a float"
             )
-        if self.n_points < 16:
-            raise InvalidParameterError(
-                f"n_points must be at least 16, got {self.n_points}"
-            )
-        h = self.r_max / self.n_points
-        object.__setattr__(self, "nodes", h * np.arange(1, self.n_points + 1))
+        n_points = _count(self.n_points, "n_points", 16)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "nodes", r_max / n_points * np.arange(1, n_points + 1))
 
     @property
     def h(self):
@@ -90,4 +88,4 @@ def default_grid(dp, n_points=4000, r_max=None):
         r_max = 8.0
         if dp.g > 0 and dp.b_tf > 0:
             r_max = max(8.0, 2.0 * np.sqrt(dp.b_tf))
-    return RadialGrid(r_max=float(r_max), n_points=int(n_points))
+    return RadialGrid(r_max=r_max, n_points=n_points)

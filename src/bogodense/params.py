@@ -24,12 +24,11 @@ HBAR = 1.054571817e-34
 _EIG_LIMIT = 4000
 
 
-def _count(value, what, low):
+def _count(value, what, low=-math.inf):
     """value as an int; InvalidParameterError unless it is an integer >= low.
 
-    Python and numpy integers pass, and so do integral floats such as 3.0;
-    2.5, nan and inf do not.  The two-mode and protocol entry points and
-    solve_bdg check their atom numbers and counts with it.
+    Python and numpy integers, 0-d integer arrays and integral floats such
+    as 3.0 pass; 2.5, nan and inf do not.  With no low any integer passes.
     """
     try:
         count = operator.index(value)
@@ -37,8 +36,35 @@ def _count(value, what, low):
         whole = isinstance(value, numbers.Real) and float(value).is_integer()
         count = int(value) if whole else None
     if count is None or count < low:
-        raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise InvalidParameterError(f"{what} must be an integer{bound}, got {value!r}")
     return count
+
+
+def _real(value, what, low=-math.inf, strict=False):
+    """value as a float; InvalidParameterError unless it is a finite real >= low.
+
+    With strict the value must lie above low.  Python and numpy reals
+    pass; strings, None, complex numbers, arrays, nan and inf do not.
+    """
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int too large for a float
+        real = math.inf
+    if not (math.isfinite(real) and (real > low if strict else real >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise InvalidParameterError(f"{what} must be a finite real{bound}, got {value!r}")
+    return real
+
+
+# Each PhysicalParams field, its lower bound and whether the bound is strict.
+_BOUNDS = (
+    ("mass", 0.0, True),
+    ("scattering_length", 0.0, False),
+    ("trap_frequency", 0.0, True),
+    ("nbar", 1.0, False),
+    ("n0", 0.0, True),
+)
 
 
 @dataclass(frozen=True)
@@ -52,20 +78,8 @@ class PhysicalParams:
     n0: float  # mean ground-mode occupation
 
     def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise InvalidParameterError(f"mass must be positive, got {self.mass}")
-        if not (self.scattering_length >= 0 and math.isfinite(self.scattering_length)):
-            raise InvalidParameterError(
-                f"scattering length must be >= 0, got {self.scattering_length}"
-            )
-        if not (self.trap_frequency > 0 and math.isfinite(self.trap_frequency)):
-            raise InvalidParameterError(
-                f"trap frequency must be positive, got {self.trap_frequency}"
-            )
-        if not (self.nbar >= 1 and math.isfinite(self.nbar)):
-            raise InvalidParameterError(f"nbar must be >= 1, got {self.nbar}")
-        if not (self.n0 > 0 and math.isfinite(self.n0)):
-            raise InvalidParameterError(f"n0 must be positive, got {self.n0}")
+        for name, low, strict in _BOUNDS:
+            object.__setattr__(self, name, _real(getattr(self, name), name, low, strict))
 
     @property
     def omega(self):
@@ -97,10 +111,8 @@ class DimensionlessParams:
     n0: float
 
     def __post_init__(self):
-        if not (self.r0 > 0 and math.isfinite(self.r0)):
-            raise InvalidParameterError(f"r0 must be positive, got {self.r0}")
-        if not math.isfinite(self.g):
-            raise InvalidParameterError(f"g must be finite, got {self.g}")
+        object.__setattr__(self, "r0", _real(self.r0, "r0", 0.0, strict=True))
+        object.__setattr__(self, "g", _real(self.g, "g"))
 
 
 def to_dimensionless(params):
@@ -109,14 +121,8 @@ def to_dimensionless(params):
     g scales as sqrt(omega) through r0, so doubling the trap frequency
     multiplies g by sqrt(2).
     """
-    mass_omega = params.mass * params.omega
-    if not (mass_omega > 0 and math.isfinite(mass_omega)):
-        raise InvalidParameterError(
-            f"mass * omega = {mass_omega} is not a finite positive number"
-        )
-    r0 = math.sqrt(HBAR / mass_omega)
-    if not (r0 > 0 and math.isfinite(r0)):
-        raise InvalidParameterError(f"r0 = {r0} is not a finite positive number")
+    mass_omega = _real(params.mass * params.omega, "mass * omega", 0.0, strict=True)
+    r0 = _real(math.sqrt(HBAR / mass_omega), "r0", 0.0, strict=True)
     g = 4.0 * math.pi * params.scattering_length / r0
     b_tf = (15.0 * params.nbar * params.scattering_length / r0) ** 0.4
     return DimensionlessParams(

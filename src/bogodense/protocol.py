@@ -28,7 +28,7 @@ from .errors import (
     ProtocolInapplicableError,
     TruncationOverflowError,
 )
-from .params import _count
+from .params import _count, _real
 from .twomode import build_h01, oscillation_law, propagate
 
 
@@ -111,8 +111,8 @@ def point_distribution(m, m_max=None):
 
 
 def gaussian_distribution(mean, sigma, m_max):
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    mean = _real(mean, "mean")
+    sigma = _real(sigma, "sigma", 0.0, strict=True)
     m = np.arange(_count(m_max, "m_max", 0) + 1)
     # A tiny sigma overflows z**2 to inf off the mean, and exp(-inf) = 0 is
     # the right weight there: the result is the point mass.
@@ -125,15 +125,15 @@ def gaussian_distribution(mean, sigma, m_max):
 
 
 def two_point_distribution(m1, m2, m_max=None, weight=0.5):
-    if m_max is None:
-        m_max = max(m1, m2)
+    m1, m2 = _count(m1, "point mass M"), _count(m2, "point mass M")
+    m_max = max(m1, m2) if m_max is None else _count(m_max, "m_max")
     for m in (m1, m2):
         if not 0 <= m <= m_max:
             raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
-    m1, m2 = _count(m1, "point mass M", 0), _count(m2, "point mass M", 0)
-    if not 0.0 <= weight <= 1.0:
+    weight = _real(weight, "weight", 0.0)
+    if not weight <= 1.0:
         raise InvalidParameterError(f"weight must be in [0, 1], got {weight}")
-    probs = np.zeros(_count(m_max, "m_max", 0) + 1)
+    probs = np.zeros(m_max + 1)
     probs[m1] += weight
     probs[m2] += 1.0 - weight
     return NumberDistribution(probs)

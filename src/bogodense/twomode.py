@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRegimeError,
 )
-from .params import _EIG_LIMIT, _count
+from .params import _EIG_LIMIT, _count, _real
 
 # mean_n1_trace samples the cached eigensystem up to M = _EIG_LIMIT (see
 # params), on the one window of eigenmodes whose discarded start weight
@@ -88,9 +88,7 @@ class TwoModeHamiltonian:
     """The band of H at total number M, checked once and read-only.
 
     The eigensystem is computed on the first eigensystem() call and cached
-    in _eig, and the certified spectral interval of long Chebyshev series
-    on the first such series and cached in _interval; the fields cannot
-    change, so neither cache can go stale.
+    in _eig; the fields cannot change, so the cache cannot go stale.
     """
 
     m_total: int
@@ -98,7 +96,6 @@ class TwoModeHamiltonian:
     off1: np.ndarray  # <n+1|H|n>, length M
     off2: np.ndarray  # <n+2|H|n>, length M-1
     _eig: tuple = field(default=None, init=False, repr=False)
-    _interval: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = _count(self.m_total, "m_total", 1)
@@ -161,11 +158,11 @@ class TwoModeState:
 
 
 def fock_state(m_total, n1=0):
-    m_total = _count(m_total, "m_total", 0)
+    m_total, n1 = _count(m_total, "m_total", 0), _count(n1, "n1")
     if not 0 <= n1 <= m_total:
         raise InvalidParameterError(f"n1 = {n1} outside 0..{m_total}")
     amp = np.zeros(m_total + 1, dtype=complex)
-    amp[_count(n1, "n1", 0)] = 1.0
+    amp[n1] = 1.0
     return TwoModeState(m_total=m_total, amplitudes=amp)
 
 
@@ -330,18 +327,16 @@ def _certify_end(band, gersh, sign):
 
 
 def _certified(h):
-    """The certified (centre, half-width) of h's spectrum, cached on h.
+    """The certified (centre, half-width) of h's spectrum.
 
     Each end is bisected by banded Cholesky factorizations (_certify_end)
     inside the Gershgorin interval, which stays the outer bracket.
     """
-    if h._interval is None:
-        band = h.to_banded_lower()
-        gersh = _gershgorin(h)
-        a = _certify_end(band, gersh, -1.0)
-        b = _certify_end(band, gersh, 1.0)
-        object.__setattr__(h, "_interval", (float(b + a) / 2.0, float(b - a) / 2.0))
-    return h._interval
+    band = h.to_banded_lower()
+    gersh = _gershgorin(h)
+    a = _certify_end(band, gersh, -1.0)
+    b = _certify_end(band, gersh, 1.0)
+    return float(b + a) / 2.0, float(b - a) / 2.0
 
 
 def _intervals(hs, t):
@@ -423,9 +418,9 @@ def propagate(sectors, t):
     Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
     its truncation error is at most tail = 2*sum_{k>=K} |J_k(z)| per unit
     start norm.  Each sector's spectrum is held by an interval:
-    Gershgorin's for a short series, a certified tight one, cached on H,
-    for a long one (_intervals; the certificate runs only unblocked banded
-    LAPACK factorizations, no threaded BLAS).
+    Gershgorin's for a short series, a certified tight one for a long one
+    (_intervals; the certificate runs only unblocked banded LAPACK
+    factorizations, no threaded BLAS).
     Consecutive sectors are stacked into recursions of at most
     _STACK_LIMIT elements (a larger sector runs alone), and only one stack
     is held at a time.  A stack runs one series, about z = half-width * |t|
@@ -458,17 +453,17 @@ def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
     The Chebyshev propagator acts on the band at every size, in equal
-    steps of at most _Z_MAX / 2 terms each, counted on the interval that
-    scales the series (_intervals); a complex state runs its real
-    and imaginary parts through one stacked recursion.  The state's
-    error_bound grows by the truncation bound of each series.
+    steps of at most _Z_MAX / 2 terms each, counted on the Gershgorin
+    half-width, which bounds the one that scales each series (_intervals);
+    a complex state runs its real and imaginary parts through one stacked
+    recursion.  The state's error_bound grows by the truncation bound of
+    each series.
     """
     _check_state(h, s0)
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"time must be finite, got {t}")
+    t = _real(t, "t")
     if t == 0.0:
         return s0
-    steps = _intervals([h], t)[0][1] * abs(t) / (0.5 * _Z_MAX)
+    steps = _gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:

@@ -123,15 +123,6 @@ def test_attractive_rejected():
         solve_gpe(bad, default_grid(dp, n_points=500))
 
 
-def test_tolerance_must_be_finite_and_positive():
-    # A nan or inf tolerance would skip the iteration and return the guess.
-    dp = to_dimensionless(reference_params(100.0))
-    grid = default_grid(dp, n_points=500)
-    for bad in (float("nan"), float("inf"), 0.0, -1e-8):
-        with pytest.raises(InvalidParameterError):
-            solve_gpe(dp, grid, tol=bad)
-
-
 def test_convergence_error_carries_state():
     # A reachable tol (the round-off floor is 8.0e-13 here) with too
     # small a step budget: the error carries the last residual and the

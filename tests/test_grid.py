@@ -35,6 +35,17 @@ def test_grid_validation():
         assert math.isfinite(integrate(RadialField(grid, np.ones(16))))
 
 
+def test_fractional_point_counts_refused():
+    # default_grid truncated 1500.9 to 1500 points, RadialGrid(8.0, 100.5)
+    # built 101 nodes that no field of 100.5 values could fill, and nan
+    # ended in numpy's bare ValueError.
+    dp = to_dimensionless(reference_params(100.0))
+    for build in (lambda: default_grid(dp, n_points=1500.9),
+                  lambda: RadialGrid(8.0, 100.5), lambda: RadialGrid(8.0, math.nan)):
+        with pytest.raises(InvalidParameterError, match="n_points must be an integer"):
+            build()
+
+
 def test_field_validation():
     grid = RadialGrid(r_max=4.0, n_points=32)
     with pytest.raises(InvalidParameterError):

@@ -1,25 +1,35 @@
 import math
+import pickle
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bogodense import (
     HBAR,
+    DimensionlessParams,
     PhysicalParams,
     ProtocolConfig,
+    RadialGrid,
     build_h01,
+    evolve_exact,
     fock_state,
     gaussian_distribution,
     oscillation_law,
     point_distribution,
     run_protocol,
     solve_bdg,
+    solve_gpe,
     to_dimensionless,
     two_point_distribution,
 )
 from bogodense.errors import InvalidParameterError
+from bogodense.params import _count, _real
 
-from oracles import reference_params
+from oracles import reference_params, synthetic_coeffs
 
 
 def test_hbar_is_codata_2018():
@@ -142,14 +152,132 @@ COUNTS = {
     ).means,
     "ProtocolConfig.kernels": lambda c, n: _protocol(c).kernels([n])[0],
     "solve_bdg": lambda c, n: solve_bdg(c["gm"], c["dp"], num_modes=n).frequencies,
+    # The offsets keep 3 above each lower bound and 2.5 off the integers.
+    "RadialGrid-n_points": lambda c, n: RadialGrid(8.0, n + 13).nodes,
+    "solve_gpe-max_iter": lambda c, n: solve_gpe(c["dp"], c["grid"], max_iter=n + 1000).xi0.values,
 }
 
 
 @pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS)
 def test_counts_must_be_integers(case100, call):
     # 2.5 built M = 2, truncated a distribution's support, raised a bare
-    # TypeError or IndexError, or reached ARPACK as a SystemError.
-    with pytest.raises(InvalidParameterError, match="integer"):
-        call(case100, 2.5)
+    # TypeError or IndexError, or reached ARPACK as a SystemError; nan
+    # ended in numpy's bare ValueError or switched off a step budget.
+    for bad in (2.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call(case100, bad)
     # numpy integers give the bytes of the Python integer.
     assert np.array_equal(call(case100, np.int64(3)), call(case100, 3))
+
+
+def test_non_numbers_refused_before_range_checks():
+    # Each compared its argument with an integer first and raised a bare
+    # TypeError.
+    for call in (lambda: fock_state(3, "1"), lambda: fock_state(3, None),
+                 lambda: two_point_distribution("80", 120)):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call()
+    # Integer inputs keep their range messages.
+    with pytest.raises(InvalidParameterError, match="n1 = -1 outside 0..3"):
+        fock_state(3, -1)
+    with pytest.raises(InvalidParameterError, match="point mass at 1 outside 0..-1"):
+        two_point_distribution(1, 2, m_max=-1)
+
+
+_BASE = dict(mass=1.44e-25, scattering_length=1.0e-8, trap_frequency=1000.0, nbar=1.0e4, n0=1.0e4)
+_BELOW_ZERO = float(np.nextafter(0.0, -1.0))
+
+
+def _physical(name):
+    return lambda c, x: astuple(PhysicalParams(**dict(_BASE, **{name: x})))
+
+
+# Each entry point that takes a real, as (call with that argument set to x,
+# a valid x, a value just past its lower bound or None when unbounded).
+# Each call returns the part of its result that depends on x.  A bounded
+# argument is also tried at minus its valid value.
+REALS = {
+    "mass": (_physical("mass"), 1.44e-25, 0.0),
+    "scattering_length": (_physical("scattering_length"), 1.0e-8, _BELOW_ZERO),
+    "trap_frequency": (_physical("trap_frequency"), 1000.0, 0.0),
+    "nbar": (_physical("nbar"), 1.0e4, float(np.nextafter(1.0, 0.0))),
+    "n0": (_physical("n0"), 1.0e4, 0.0),
+    "r0": (lambda c, x: astuple(DimensionlessParams(x, 0.1, 1.0, 100.0, 100.0)), 3e-7, 0.0),
+    "g": (lambda c, x: astuple(DimensionlessParams(3e-7, x, 1.0, 100.0, 100.0)), 0.1, None),
+    "r_max": (lambda c, x: RadialGrid(x, 32).nodes, 8.0, 0.0),
+    "tol": (lambda c, x: solve_gpe(c["dp"], c["grid"], tol=x).xi0.values, 1e-8, 0.0),
+    "mean": (lambda c, x: gaussian_distribution(x, 2.0, 20).probabilities, 10.0, None),
+    "sigma": (lambda c, x: gaussian_distribution(10.0, x, 20).probabilities, 2.0, 0.0),
+    "weight": (lambda c, x: two_point_distribution(1, 2, weight=x).probabilities, 0.25,
+               _BELOW_ZERO),
+    "t": (lambda c, x: evolve_exact(build_h01(synthetic_coeffs(gamma=0.3, g01=0.2), 8),
+                                    fock_state(8), x).amplitudes, 0.5, None),
+}
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_reals_must_be_finite(case100, name):
+    # A string or None ended in a bare TypeError, an array in a bare
+    # ValueError; sigma = inf gave the uniform distribution, and a nan
+    # tol skipped the solve.
+    call, good, past = REALS[name]
+    bad = [math.nan, math.inf, -math.inf, str(good), None, complex(good), np.array([good, good])]
+    for x in bad + ([] if past is None else [past, -good]):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a finite real"):
+            call(case100, x)
+    # numpy floats give the bytes of the Python float.
+    assert pickle.dumps(call(case100, np.float64(good))) == pickle.dumps(call(case100, good))
+
+
+# Anything a caller might pass: Python and numpy numbers of every kind,
+# nan and inf among them, and things that are not real numbers at all.
+_ANY = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4),
+    st.none(),
+    st.complex_numbers(),
+    hnp.arrays(st.sampled_from([np.float64, np.int64]),
+               hnp.array_shapes(min_dims=0, max_dims=2, max_side=2)),
+)
+_FLOATS = (float, np.floating)
+_INTEGERS = (bool, int, np.integer)
+
+
+@given(value=_ANY, low=st.one_of(st.just(-math.inf), st.floats(allow_nan=False)),
+       strict=st.booleans())
+def test_real_returns_the_float_or_refuses(value, low, strict):
+    want = None
+    if isinstance(value, _FLOATS + _INTEGERS):
+        # Only a Python int can lie beyond the float range.
+        x = math.inf if isinstance(value, int) and abs(value) >= 2**1024 else float(value)
+        if math.isfinite(x) and (x > low if strict else x >= low):
+            want = x
+    if want is None:
+        with pytest.raises(InvalidParameterError, match="^x must be a finite real"):
+            _real(value, "x", low, strict)
+    else:
+        got = _real(value, "x", low, strict)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+@given(value=_ANY, low=st.one_of(st.just(-math.inf), st.integers(-3, 3)))
+def test_count_returns_the_integer_or_refuses(value, low):
+    want = None
+    if isinstance(value, _INTEGERS) or (
+        isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind == "i"
+    ):
+        want = int(value)
+    elif isinstance(value, _FLOATS) and float(value).is_integer():
+        want = int(value)
+    if want is None or want < low:
+        with pytest.raises(InvalidParameterError, match="^x must be an integer"):
+            _count(value, "x", low)
+    else:
+        got = _count(value, "x", low)
+        assert type(got) is int and got == want
