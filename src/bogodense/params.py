@@ -57,7 +57,8 @@ def _real(value, what, low=-math.inf, strict=False):
     return real
 
 
-# Each PhysicalParams field, its lower bound and whether the bound is strict.
+# Each field of PhysicalParams and of DimensionlessParams, its lower bound
+# and whether the bound is strict.
 _BOUNDS = (
     ("mass", 0.0, True),
     ("scattering_length", 0.0, False),
@@ -65,6 +66,19 @@ _BOUNDS = (
     ("nbar", 1.0, False),
     ("n0", 0.0, True),
 )
+_DIMENSIONLESS_BOUNDS = (
+    ("r0", 0.0, True),
+    ("g", -math.inf, False),
+    ("b_tf", 0.0, False),
+    ("nbar", 1.0, False),
+    ("n0", 0.0, True),
+)
+
+
+def _check_fields(obj, bounds):
+    """Store each bounded field of the frozen obj as the float _real returns."""
+    for name, low, strict in bounds:
+        object.__setattr__(obj, name, _real(getattr(obj, name), name, low, strict))
 
 
 @dataclass(frozen=True)
@@ -78,8 +92,7 @@ class PhysicalParams:
     n0: float  # mean ground-mode occupation
 
     def __post_init__(self):
-        for name, low, strict in _BOUNDS:
-            object.__setattr__(self, name, _real(getattr(self, name), name, low, strict))
+        _check_fields(self, _BOUNDS)
 
     @property
     def omega(self):
@@ -111,8 +124,7 @@ class DimensionlessParams:
     n0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r0", _real(self.r0, "r0", 0.0, strict=True))
-        object.__setattr__(self, "g", _real(self.g, "g"))
+        _check_fields(self, _DIMENSIONLESS_BOUNDS)
 
 
 def to_dimensionless(params):

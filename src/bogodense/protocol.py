@@ -29,7 +29,12 @@ from .errors import (
     TruncationOverflowError,
 )
 from .params import _count, _real
-from .twomode import build_h01, oscillation_law, propagate
+from .twomode import oscillation_law, propagate
+
+# Cycles per block of run_protocol's buffer: their certificates and
+# statistics are row-wise sums over one (_BLOCK, m_max + 1) array, so the
+# buffer's size does not depend on the number of cycles.
+_BLOCK = 16
 
 
 def _certify(probs, where="probabilities"):
@@ -153,6 +158,7 @@ class ProtocolConfig:
     m_max: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n0", _real(self.n0, "n0", 0.0, strict=True))
         object.__setattr__(self, "cycles", _count(self.cycles, "cycles", 1))
         object.__setattr__(self, "m_max", _count(self.m_max, "m_max", 1))
         if not abs(self.coeffs.nbar - self.n0) <= 1e-6 * max(1.0, abs(self.n0)):
@@ -178,21 +184,20 @@ class ProtocolConfig:
     def kernels(self, ms):
         """The kernels of the sectors M in ms, in the order of ms.
 
-        The sectors run in descending M through stacked Chebyshev
-        recursions.  Each sector keeps its own spectral centre and a stack
-        runs the one series of its widest half-width, so a kernel agrees
-        with the one built alone to round-off, and the kernels depend only
-        on ms.
+        The sectors run from |M, 0> in descending M through stacked
+        Chebyshev recursions, whose bands are built a stack at a time
+        (twomode.propagate); no per-sector Hamiltonian is made.  Each
+        sector keeps its own spectral centre and a stack runs the one
+        series of its widest half-width, so a kernel agrees with the one
+        built alone to round-off, and the kernels depend only on ms.
         """
         ms = [_count(m, "sector M", 0) for m in ms]
         order = sorted((i for i, m in enumerate(ms) if m > 0), key=lambda i: -ms[i])
         out = [np.ones(1)] * len(ms)
         if not order:
             return out
-        # Each sector starts from |M, 0>, the unit vector at n1 = 0.
-        starts = (np.eye(1, ms[i] + 1)[0] for i in order)
-        sectors = zip((build_h01(self.coeffs, ms[i]) for i in order), starts)
-        for i, (amp, _) in zip(order, propagate(sectors, self.cycle_time)):
+        sectors = propagate(self.coeffs, [ms[i] for i in order], self.cycle_time)
+        for i, (amp, _) in zip(order, sectors):
             probs = amp.real**2 + amp.imag**2
             # Unit-sum measurement probabilities; rescaling removes the
             # roundoff that would otherwise accumulate over many cycles.
@@ -239,8 +244,37 @@ class ProtocolResult:
         }
 
 
+def _tally(rows, first, kept, gone, stats):
+    """Certify the cycles first, first + 1, ... held in rows and record them.
+
+    Each row is the distribution after one cycle; cycle 0, the initial
+    distribution, was certified when it was made.  Every statistic is a
+    row-wise sum over the block, each row summed alone as a cycle's own
+    vector would be.  stats holds the means, variances, retained and lost
+    mass of every cycle.
+    """
+    means, variances, retained, lost = stats
+    totals = rows.sum(axis=1)
+    sound = (rows.min(axis=1) >= -1e-12) & (np.abs(totals - 1.0) <= 1e-9)
+    for i in np.flatnonzero(~sound):
+        if first + i > 0:
+            _certify(rows[i], f"cycle {first + i}: probabilities")
+    done = slice(first, first + rows.shape[0])
+    m = np.arange(rows.shape[1])
+    means[done] = np.sum(m * rows, axis=1)
+    variances[done] = np.sum((m - means[done, None]) ** 2 * rows, axis=1)
+    retained[done] = np.sum(rows[:, kept], axis=1)
+    lost[done] = np.sum(rows[:, gone], axis=1)
+
+
 def run_protocol(init, cfg):
-    """Iterate p <- K @ p in place, certifying sign and mass once per cycle."""
+    """Iterate p <- K @ p, certifying sign and mass once per cycle.
+
+    The distributions go through a buffer of _BLOCK cycles, whose
+    certificates and statistics are computed together (_tally); a block
+    is also closed before new kernel columns are built, so the first
+    failing cycle is reported before any later one runs.
+    """
     if init.support_max > cfg.m_max:
         raise TruncationOverflowError(
             f"initial support reaches {init.support_max}, "
@@ -250,28 +284,38 @@ def run_protocol(init, cfg):
     # first time M = m carries probability.  Probability only moves down,
     # so K never needs rows or columns above the initial support.
     size = init.support_max + 1
-    p = np.zeros(cfg.m_max + 1)
-    p[:size] = init.probabilities[:size]
+    p = init.probabilities[:size].copy()
     k = np.zeros((size, size))
     built = np.zeros(size, dtype=bool)
-    m = np.arange(cfg.m_max + 1)
+    complete = False
     kept, gone = (_band(lo, hi, cfg.m_max) for lo, hi in _retained_and_lost(cfg.n0))
-    means, variances, retained, lost = (np.empty(cfg.cycles + 1) for _ in range(4))
+    stats = tuple(np.empty(cfg.cycles + 1) for _ in range(4))
+    rows = np.zeros((min(_BLOCK, cfg.cycles + 1), cfg.m_max + 1))
+    filled = 0  # rows[:filled] holds the cycles i - filled .. i - 1
     for i in range(cfg.cycles + 1):
         if i > 0:
-            new = np.flatnonzero((p[:size] > 0) & ~built)
-            for j, column in zip(new, cfg.kernels(new)):
-                k[j::-1, j] = column
-            built[new] = True
-            p[:size] = k @ p[:size]
-            _certify(p, f"cycle {i}: probabilities")
-        means[i] = np.sum(m * p)
-        variances[i] = np.sum((m - means[i]) ** 2 * p)
-        retained[i] = np.sum(p[kept])
-        lost[i] = np.sum(p[gone])
+            if not complete:
+                new = np.flatnonzero((p > 0) & ~built)
+                if new.size:
+                    _tally(rows[:filled], i - filled, kept, gone, stats)
+                    filled = 0
+                    for j, column in zip(new, cfg.kernels(new)):
+                        k[j::-1, j] = column
+                    built[new] = True
+                    complete = bool(built.all())
+            p = k @ p
+        rows[filled, :size] = p
+        filled += 1
+        if filled == len(rows):
+            _tally(rows, i + 1 - filled, kept, gone, stats)
+            filled = 0
+    _tally(rows[:filled], cfg.cycles + 1 - filled, kept, gone, stats)
+    means, variances, retained, lost = stats
     removed = np.concatenate(([0.0], means[:-1] - means[1:]))
+    final = np.zeros(cfg.m_max + 1)
+    final[:size] = p
     return ProtocolResult(
-        final=NumberDistribution(p),
+        final=NumberDistribution(final),
         means=means,
         variances=variances,
         retained_mass=retained,

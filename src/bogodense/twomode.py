@@ -45,9 +45,9 @@ _WINDOW_TOL = 1e-12
 # _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
 _TRACE_BLOCK = 64
 # Elements per stacked Chebyshev recursion: sectors are packed into vectors
-# of at most this length n, so its work arrays (the (5, n) DIA band, the
-# T_{k-1} and T_k rows, the (2, n) accumulator and one buffer: 10 n floats,
-# 1.3 MB) stay cache-sized.
+# of at most this length n, so its work arrays (the (5, n) DIA band and its
+# negation, the S_{k-1} and S_k rows, the (2, n) accumulator and one
+# buffer: 15 n floats, 2 MB) stay cache-sized.
 _STACK_LIMIT = 1 << 14
 # The Chebyshev series stops at the first k > z with |J_k(z)| below this;
 # the tail beyond it bounds the truncation error and must stay below
@@ -120,6 +120,15 @@ class TwoModeHamiltonian:
         band[2, : m - 1] = self.off2
         return band
 
+    def to_dia(self):
+        """The band in the DIA layout of _OFFSETS, (5, M+1), +0.0 outside H."""
+        m = self.m_total
+        dia = np.zeros((5, m + 1))
+        dia[0] = self.diag
+        dia[1, : m - 1] = dia[4, 2:] = self.off2
+        dia[2, :m] = dia[3, 1:] = self.off1
+        return dia
+
     def to_dense(self):
         m = self.m_total
         a = np.diag(self.diag)
@@ -166,9 +175,15 @@ def fock_state(m_total, n1=0):
     return TwoModeState(m_total=m_total, amplitudes=amp)
 
 
-def build_h01(coeffs, m_total):
-    """Banded matrix of the two-mode Hamiltonian for fixed total number M.
+def _sector_bands(coeffs, ms):
+    """The band of H over the sectors M in ms in DIA layout, and their ends.
 
+    The sectors sit one after another in a (5, n) array in the layout of
+    _OFFSETS, all written in one elementwise pass: row 0 holds each
+    <n|H|n>, row 2 each <n+1|H|n> and row 1 each <n+2|H|n>, and rows 3
+    and 4 are rows 2 and 1 moved one and two places on.  Every entry that
+    would couple a sector to the next is +0.0, so the stack is
+    block-diagonal and one sector's slice is its TwoModeHamiltonian.to_dia.
     Matrix elements follow from the elementary action of creation and
     annihilation operators on |M - n, n>:
 
@@ -176,42 +191,65 @@ def build_h01(coeffs, m_total):
                  + mu1*n + gamma*n*(2*(M-n) - nbar)
       off1[n]  = g01*(M-n-1-nbar)*sqrt((n+1)*(M-n))
       off2[n]  = (gamma/2)*sqrt((n+1)*(n+2)*(M-n)*(M-n-1))
+
+    Every M must be at least 1.  Returns the band and each sector's end;
+    a non-finite matrix element raises InvalidParameterError, so no
+    propagation sees one.
     """
-    m = _count(m_total, "m_total", 1)
+    sizes = np.asarray(ms, dtype=np.int64) + 1
+    ends = np.cumsum(sizes)
     nbar = coeffs.nbar
     ga2 = coeffs.g_alpha2
-    n = np.arange(m + 1, dtype=float)
+    m = np.repeat(sizes - 1.0, sizes)
+    n = (np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)).astype(float)
     n0 = m - n
-    diag = (
+    dia = np.zeros((5, n.size))
+    dia[0] = (
         coeffs.mu * n0
         + 0.5 * ga2 * (n0 * (n0 - 1.0) - 2.0 * nbar * n0)
         + coeffs.mu1 * n
         + coeffs.gamma * n * (2.0 * n0 - nbar)
     )
-    k = n[:-1]
-    off1 = coeffs.g01 * (m - k - 1.0 - nbar) * np.sqrt((k + 1.0) * (m - k))
-    k = n[:-2]
-    off2 = (
+    dia[2] = coeffs.g01 * (m - n - 1.0 - nbar) * np.sqrt((n + 1.0) * (m - n))
+    dia[1] = (
         0.5
         * coeffs.gamma
-        * np.sqrt((k + 1.0) * (k + 2.0) * (m - k) * (m - k - 1.0))
+        * np.sqrt((n + 1.0) * (n + 2.0) * (m - n) * (m - n - 1.0))
     )
-    return TwoModeHamiltonian(m_total=m, diag=diag, off1=off1, off2=off2)
+    dia[2, ends - 1] = dia[1, ends - 1] = dia[1, ends - 2] = 0.0
+    bad = np.flatnonzero(~np.all(np.isfinite(dia[:3]), axis=0))
+    if bad.size:
+        sector = int(np.searchsorted(ends, bad[0], side="right"))
+        raise InvalidParameterError(f"non-finite matrix elements at M = {ms[sector]}")
+    dia[3, 1:] = dia[2, :-1]
+    dia[4, 2:] = dia[1, :-2]
+    return dia, ends
 
 
-def _gershgorin(h):
-    """Centre and half-width of an interval that holds the spectrum of h.
+def build_h01(coeffs, m_total):
+    """Banded matrix of the two-mode Hamiltonian for fixed total number M.
 
-    Each eigenvalue lies in a Gershgorin disc: within the sum of a row's
-    off-diagonal magnitudes of that row's diagonal element.
+    The one-sector case of _sector_bands, which holds the matrix elements.
     """
-    m = h.m_total
-    radius = np.zeros(m + 1)
-    for off in (np.abs(h.off1), np.abs(h.off2)):
-        radius[: off.size] += off
-        radius[m + 1 - off.size :] += off
-    lo = float(np.min(h.diag - radius))
-    hi = float(np.max(h.diag + radius))
+    m = _count(m_total, "m_total", 1)
+    dia, _ = _sector_bands(coeffs, [m])
+    return TwoModeHamiltonian(m_total=m, diag=dia[0], off1=dia[2, :m], off2=dia[1, : m - 1])
+
+
+def _gershgorin(dia, ends):
+    """Centres and half-widths of intervals that hold each sector's spectrum.
+
+    dia is a stack of sectors in DIA layout (_sector_bands), and ends the
+    end of each.  Each eigenvalue lies in a Gershgorin disc: within the
+    sum of a row's off-diagonal magnitudes of that row's diagonal element.
+    The couplings between sectors are +0.0 and add nothing.
+    """
+    radius = np.abs(dia[2]) + np.abs(dia[3])
+    radius += np.abs(dia[1])
+    radius += np.abs(dia[4])
+    starts = np.concatenate(([0], np.asarray(ends)[:-1]))
+    lo = np.minimum.reduceat(dia[0] - radius, starts)
+    hi = np.maximum.reduceat(dia[0] + radius, starts)
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
@@ -256,24 +294,6 @@ def _bessel_series(z):
         raise IntegratorFailureError(f"Bessel series at z = {z!r} did not decay")
     k_stop = k_min + int(small[0])
     return j[:k_stop], 2.0 * float(np.sum(np.abs(j[k_stop:])))
-
-
-def _dia_band(hs, centres, scale):
-    """The block-diagonal band of (H - centre) * scale over the sectors hs.
-
-    centres holds each sector's centre, and scale is shared; the sectors
-    sit one after another, with zero couplings between them.  Returns the
-    (5, n) band in the DIA layout of _OFFSETS and the end of each sector.
-    """
-    sizes = [h.m_total + 1 for h in hs]
-    ends = np.cumsum(sizes)
-    band = np.zeros((5, int(ends[-1])))
-    for h, centre, end, size in zip(hs, centres, ends, sizes):
-        lo = end - size
-        band[0, lo:end] = (h.diag - centre) * scale
-        band[2, lo : end - 1] = band[3, lo + 1 : end] = h.off1 * scale
-        band[1, lo : end - 2] = band[4, lo + 2 : end] = h.off2 * scale
-    return band, ends
 
 
 def _certify_end(band, gersh, sign):
@@ -326,60 +346,79 @@ def _certify_end(band, gersh, sign):
     return proven if sign * (wall - proven) > 0.0 else wall
 
 
-def _certified(h):
-    """The certified (centre, half-width) of h's spectrum.
+def _certified(dia):
+    """The certified (centre, half-width) of one sector's spectrum.
 
-    Each end is bisected by banded Cholesky factorizations (_certify_end)
-    inside the Gershgorin interval, which stays the outer bracket.
+    dia is the sector in DIA layout (TwoModeHamiltonian.to_dia).  Each end
+    is bisected by banded Cholesky factorizations (_certify_end) of its
+    lower band storage inside the Gershgorin interval, which stays the
+    outer bracket.
     """
-    band = h.to_banded_lower()
-    gersh = _gershgorin(h)
+    centre, half = _gershgorin(dia, [dia.shape[1]])
+    gersh = float(centre[0]), float(half[0])
+    band = dia[[0, 2, 1]]
     a = _certify_end(band, gersh, -1.0)
     b = _certify_end(band, gersh, 1.0)
     return float(b + a) / 2.0, float(b - a) / 2.0
 
 
-def _intervals(hs, t):
-    """Centre and half-width of the interval that scales each h at time t.
+def _intervals(dia, ends, t):
+    """Centres and half-widths of the intervals that scale each sector at t.
 
     A sector whose Gershgorin series, z = half-width * |t| terms, is at
     most _REFINE_TERMS long keeps its Gershgorin interval; a longer one
-    takes its certified interval (_certified).  The choice depends on the
-    sector alone; a stack then runs the series of its widest half-width
-    (_propagate_block).
+    takes its certified interval (_certified, on the sector's slice).  The
+    choice depends on the sector alone; a stack then runs the series of
+    its widest half-width (_propagate_block).
     """
-    out = []
-    for h in hs:
-        gersh = _gershgorin(h)
-        out.append(_certified(h) if gersh[1] * abs(t) > _REFINE_TERMS else gersh)
-    return out
+    centres, halves = _gershgorin(dia, ends)
+    for i in np.flatnonzero(halves * abs(t) > _REFINE_TERMS):
+        lo = ends[i - 1] if i else 0
+        centres[i], halves[i] = _certified(dia[:, lo : ends[i]])
+    return centres, halves
 
 
-def _propagate_block(stack, t):
-    """(exp(-iHt) x, tail) for each (H, real x) pair, in one recursion.
+def _stacks(sizes):
+    """Yield (lo, hi): the runs of consecutive sectors that share a recursion.
 
-    The sectors sit one after another in one vector, and their banded
-    matrices along the diagonal of one block-banded matrix whose couplings
-    vanish between sectors.  Each sector is shifted by the centre of its
-    interval (_intervals), and the stack is scaled by its widest
-    half-width, so every sector's spectrum lies in [-1, 1] and one series,
-    z = widest half-width * |t|, with one truncation bound, serves them
-    all.  Each term is one in-place banded product, scipy's DIA kernel
-    y += A x on y = -T_{k-1}.
+    Each run holds at most _STACK_LIMIT elements; a larger sector runs alone.
+    """
+    lo, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > _STACK_LIMIT:
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    if sizes:
+        yield lo, len(sizes)
+
+
+def _propagate_block(dia, ends, s, t):
+    """(exp(-iHt) x, tail) for each sector of a stack, in one recursion.
+
+    dia holds the sectors one after another in DIA layout, with zero
+    couplings between them (_sector_bands), ends the end of each sector,
+    and s[1] the real start vector of the whole stack; the recursion runs
+    in dia and s, which it overwrites.
+    Each sector is shifted by the centre of its interval (_intervals), and
+    the stack is scaled by its widest half-width, so every sector's
+    spectrum lies in [-1, 1] and one series, z = widest half-width * |t|,
+    with one truncation bound, serves them all.  The recursion stores
+    S_k = s_k T_k(H_s) with s_k = 1, 1, -1, -1, ..., so that
+    S_{k+1} = S_{k-1} + 2 H_s S_k for even k and S_{k-1} - 2 H_s S_k for
+    odd k: each term is one in-place banded product, scipy's DIA kernel
+    y += A x on y = S_{k-1} with A = +-2 H_s.  Negating a product or a sum
+    rounds to the negated result, so every S_k is s_k T_k to the bit.
     """
     from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
 
-    hs = [h for h, _ in stack]
-    intervals = _intervals(hs, t)
-    half = max(w for _, w in intervals)
-    # 2*H_s, H_s = (H - centre)/half.
-    band, ends = _dia_band(hs, [c for c, _ in intervals], 2.0 / half if half else 0.0)
-    n = int(ends[-1])
-    x = np.zeros((2, n))  # T_{k-1}, T_k
-    for (h, start), end in zip(stack, ends):
-        x[1, end - h.m_total - 1 : end] = start
+    sizes = np.diff(ends, prepend=0)
+    centres, halves = _intervals(dia, ends, t)
+    half = float(np.max(halves))
     # exp(-iHt) = exp(-i centre t) sum_k (2 - [k = 0]) (-i)^k J_k(z) T_k(H_s)
-    # with z = half * t, and J_k(-z) = (-1)^k J_k(z).
+    # with z = half * t, and J_k(-z) = (-1)^k J_k(z); the weight of S_k is
+    # s_k times that of T_k.  The series comes before the negated band: on
+    # a long series Miller's recurrence holds about as much as the band.
     j, tail = _bessel_series(half * abs(t))
     if not tail <= _TAIL_TOL:
         raise IntegratorFailureError(
@@ -387,32 +426,40 @@ def _propagate_block(stack, t):
         )
     coef = 2.0 * j
     coef[0] = j[0]
-    coef[2::4] *= -1.0
-    coef[1::4] *= -math.copysign(1.0, t)
-    coef[3::4] *= math.copysign(1.0, t)
+    coef[1::2] *= -math.copysign(1.0, t)
+    # 2*H_s, H_s = (H - centre)/half, written over H.
+    dia[0] -= np.repeat(centres, sizes)
+    dia *= 2.0 / half if half else 0.0
+    signed = (dia, -dia)
+    n = dia.shape[1]
+    # S_{k-1}, S_k; S_{-1} = -0.0 is the -T_{-1} that T_1 = H_s T_0 adds to.
+    s[0] = -0.0
     acc = np.zeros((2, n))  # even terms are real, odd terms imaginary
     buf = np.empty(n)
     for k, a_k in enumerate(coef):
-        # T_k sits in x[(k + 1) % 2], T_{k-1} in x[k % 2].
-        cur, y = x[(k + 1) % 2], x[k % 2]
+        # S_k sits in s[(k + 1) % 2], S_{k-1} in s[k % 2].
+        cur, y = s[(k + 1) % 2], s[k % 2]
         np.multiply(cur, a_k, out=buf)
         acc[k % 2] += buf
-        # T_{k+1} = 2 H_s T_k - T_{k-1}, written over T_{k-1};
-        # T_1 = H_s T_0.
-        np.negative(y, out=y)
-        dia_matvec(n, n, 5, n, _OFFSETS, band, cur, y)
+        # S_{k+1}, written over S_{k-1}; S_1 = H_s S_0.
+        dia_matvec(n, n, 5, n, _OFFSETS, signed[k % 2], cur, y)
         if k == 0:
             y *= 0.5
-    out = []
-    for h, end, (centre, _) in zip(hs, ends, intervals):
-        c, s = math.cos(centre * t), -math.sin(centre * t)
-        even, odd = acc[:, end - h.m_total - 1 : end]
-        out.append((even * c - odd * s + 1j * (even * s + odd * c), tail))
-    return out
+    del signed, buf  # the negated band goes before the products are made
+    # exp(-i centre t) (even + i odd); dia is spent and holds the products.
+    c = np.repeat([math.cos(centre * t) for centre in centres], sizes)
+    sn = np.repeat([-math.sin(centre * t) for centre in centres], sizes)
+    even, odd = acc
+    re = np.multiply(even, c, out=dia[0])
+    re -= np.multiply(odd, sn, out=dia[1])
+    im = np.multiply(even, sn, out=dia[2])
+    im += np.multiply(odd, c, out=dia[1])
+    amp = re + 1j * im
+    return [(part, tail) for part in np.split(amp, ends[:-1])]
 
 
-def propagate(sectors, t):
-    """Yield (exp(-iHt) x, tail) for each (H, real x) pair of sectors.
+def propagate(coeffs, ms, t):
+    """Yield (exp(-iH_M t)|M, 0>, tail) for each sector M >= 1 of ms.
 
     Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
@@ -422,23 +469,21 @@ def propagate(sectors, t):
     (_intervals; the certificate runs only unblocked banded LAPACK
     factorizations, no threaded BLAS).
     Consecutive sectors are stacked into recursions of at most
-    _STACK_LIMIT elements (a larger sector runs alone), and only one stack
-    is held at a time.  A stack runs one series, about z = half-width * |t|
-    terms of its widest sector, so a result moves with its stack-mates by
-    round-off; the stacks depend only on the sequence of sectors.  Each
-    term is one in-place banded product (scipy's DIA kernel, no BLAS),
-    which sums every row in a fixed order, so the results do not depend on
-    the thread count.
+    _STACK_LIMIT elements (_stacks), and each stack's bands are built in
+    one elementwise pass (_sector_bands), so only one stack is held at a
+    time and no per-sector object is made.  A stack runs one series, about
+    z = half-width * |t| terms of its widest sector, so a result moves
+    with its stack-mates by round-off; the stacks depend only on the
+    sequence of sectors.  Each term is one in-place banded product
+    (scipy's DIA kernel, no BLAS), which sums every row in a fixed order,
+    so the results do not depend on the thread count.
     """
-    stack, size = [], 0
-    for h, start in sectors:
-        if stack and size + h.m_total + 1 > _STACK_LIMIT:
-            yield from _propagate_block(stack, t)
-            stack, size = [], 0
-        stack.append((h, start))
-        size += h.m_total + 1
-    if stack:
-        yield from _propagate_block(stack, t)
+    for lo, hi in _stacks([m + 1 for m in ms]):
+        dia, ends = _sector_bands(coeffs, ms[lo:hi])
+        s = np.zeros((2, dia.shape[1]))
+        s[1, np.concatenate(([0], ends[:-1]))] = 1.0  # |M, 0>: n1 = 0
+        yield from _propagate_block(dia, ends, s, t)
+        del dia, s  # before the next stack is built
 
 
 def _check_state(h, s0):
@@ -455,15 +500,16 @@ def evolve_exact(h, s0, t):
     The Chebyshev propagator acts on the band at every size, in equal
     steps of at most _Z_MAX / 2 terms each, counted on the Gershgorin
     half-width, which bounds the one that scales each series (_intervals);
-    a complex state runs its real and imaginary parts through one stacked
-    recursion.  The state's error_bound grows by the truncation bound of
-    each series.
+    a complex state runs its real and imaginary parts as two sectors of one
+    stack (_stacks).  The state's error_bound grows by the truncation
+    bound of each series.
     """
     _check_state(h, s0)
     t = _real(t, "t")
     if t == 0.0:
         return s0
-    steps = _gershgorin(h)[1] * abs(t) / (0.5 * _Z_MAX)
+    size = h.m_total + 1
+    steps = float(_gershgorin(h.to_dia(), [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:
@@ -475,7 +521,11 @@ def evolve_exact(h, s0, t):
     amp, bound = s0.amplitudes, s0.error_bound
     for _ in range(steps):
         parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
-        out = list(propagate([(h, part) for part in parts], t / steps))
+        out = []
+        for lo, hi in _stacks([size] * len(parts)):
+            ends = size * np.arange(1, hi - lo + 1)
+            s = np.stack((np.empty(ends[-1]), np.concatenate(parts[lo:hi])))
+            out += _propagate_block(np.tile(h.to_dia(), hi - lo), ends, s, t / steps)
         amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
         bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
@@ -488,6 +538,18 @@ def mean_n1(s):
     """<n1> of a two-mode state."""
     n = np.arange(s.m_total + 1)
     return float(np.sum(n * np.abs(s.amplitudes) ** 2))
+
+
+def _times(times):
+    """times as a float array; InvalidParameterError unless all are finite reals.
+
+    Strings, None, complex numbers and object arrays are refused, not
+    converted, as _real refuses them for a single time.
+    """
+    times = np.asarray(times)
+    if times.dtype.kind not in "biuf" or not np.all(np.isfinite(times)):
+        raise InvalidParameterError("times must be finite reals")
+    return times.astype(float, copy=False)
 
 
 def _check_phases(rate, times):
@@ -549,10 +611,8 @@ def mean_n1_trace(h, s0, times):
     float for a scalar time and an array of the shape of times otherwise.
     """
     _check_state(h, s0)
-    times = np.asarray(times, dtype=float)
+    times = _times(times)
     shape, times = times.shape, times.ravel()
-    if not np.all(np.isfinite(times)):
-        raise InvalidParameterError("times must be finite")
     n = np.arange(h.m_total + 1, dtype=float)
     out = np.empty(times.shape)
     if h.m_total <= _EIG_LIMIT:
@@ -654,7 +714,7 @@ def mean_n1_analytic(law, t):
         raise InapplicableLawError(
             f"oscillation law is parametrically unstable at M = {law.m_total}"
         )
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     _check_phases(law.omega_prime, t)
     wt = law.omega_prime * t
     out = law.c1 * np.sin(wt) ** 2 + law.c2 * (np.cos(wt) - 1.0) ** 2

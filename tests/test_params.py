@@ -195,7 +195,8 @@ def _physical(name):
 # Each entry point that takes a real, as (call with that argument set to x,
 # a valid x, a value just past its lower bound or None when unbounded).
 # Each call returns the part of its result that depends on x.  A bounded
-# argument is also tried at minus its valid value.
+# argument is also tried at minus its valid value.  A key names the
+# argument, after its class when the name alone is taken.
 REALS = {
     "mass": (_physical("mass"), 1.44e-25, 0.0),
     "scattering_length": (_physical("scattering_length"), 1.0e-8, _BELOW_ZERO),
@@ -204,6 +205,18 @@ REALS = {
     "n0": (_physical("n0"), 1.0e4, 0.0),
     "r0": (lambda c, x: astuple(DimensionlessParams(x, 0.1, 1.0, 100.0, 100.0)), 3e-7, 0.0),
     "g": (lambda c, x: astuple(DimensionlessParams(3e-7, x, 1.0, 100.0, 100.0)), 0.1, None),
+    # nbar = -5 gave a ground mode at mu = 1.467 in the attractive regime.
+    "DimensionlessParams-b_tf": (
+        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, x, 100.0, 100.0)), 1.0, _BELOW_ZERO),
+    "DimensionlessParams-nbar": (
+        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, 1.0, x, 100.0)), 100.0,
+        float(np.nextafter(1.0, 0.0))),
+    "DimensionlessParams-n0": (
+        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, 1.0, 100.0, x)), 100.0, 0.0),
+    # "100" ended in a bare TypeError, nan in a message about the working point.
+    "ProtocolConfig-n0": (
+        lambda c, x: (ProtocolConfig(n0=x, coeffs=c["coeffs"], cycles=1, m_max=10).n0,),
+        100.0, 0.0),
     "r_max": (lambda c, x: RadialGrid(x, 32).nodes, 8.0, 0.0),
     "tol": (lambda c, x: solve_gpe(c["dp"], c["grid"], tol=x).xi0.values, 1e-8, 0.0),
     "mean": (lambda c, x: gaussian_distribution(x, 2.0, 20).probabilities, 10.0, None),
@@ -221,9 +234,10 @@ def test_reals_must_be_finite(case100, name):
     # ValueError; sigma = inf gave the uniform distribution, and a nan
     # tol skipped the solve.
     call, good, past = REALS[name]
+    what = name.rsplit("-", 1)[-1]
     bad = [math.nan, math.inf, -math.inf, str(good), None, complex(good), np.array([good, good])]
     for x in bad + ([] if past is None else [past, -good]):
-        with pytest.raises(InvalidParameterError, match=f"^{name} must be a finite real"):
+        with pytest.raises(InvalidParameterError, match=f"^{what} must be a finite real"):
             call(case100, x)
     # numpy floats give the bytes of the Python float.
     assert pickle.dumps(call(case100, np.float64(good))) == pickle.dumps(call(case100, good))

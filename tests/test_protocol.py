@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bogodense.protocol as protocol
 import bogodense.twomode as twomode
 from bogodense import (
     CouplingCoefficients,
@@ -184,9 +186,9 @@ def test_batched_kernels_match_dense_kernels(cfg100, monkeypatch):
     stacks = []
     propagate_block = twomode._propagate_block
 
-    def recorded(stack, t):
-        stacks.append([h.m_total for h, _ in stack])
-        return propagate_block(stack, t)
+    def recorded(dia, ends, s, t):
+        stacks.append((np.diff(ends, prepend=0) - 1).tolist())
+        return propagate_block(dia, ends, s, t)
 
     monkeypatch.setattr(twomode, "_propagate_block", recorded)
     monkeypatch.setattr(twomode, "_STACK_LIMIT", 100)
@@ -202,9 +204,9 @@ def test_one_bessel_series_per_stack(cfg100, monkeypatch):
     stacks, series = [], []
     propagate_block, bessel_series = twomode._propagate_block, twomode._bessel_series
 
-    def recorded_block(stack, t):
-        stacks.append(len(stack))
-        return propagate_block(stack, t)
+    def recorded_block(dia, ends, s, t):
+        stacks.append(len(ends))
+        return propagate_block(dia, ends, s, t)
 
     def recorded_series(z):
         series.append(z)
@@ -216,6 +218,23 @@ def test_one_bessel_series_per_stack(cfg100, monkeypatch):
     cfg100.kernels(range(41))
     assert sum(stacks) == 40 and len(stacks) > 1
     assert len(series) == len(stacks)
+
+
+def test_kernels_build_no_hamiltonian(cfg100, monkeypatch):
+    # The kernels propagate stacks of bands built from the formula; no
+    # per-sector TwoModeHamiltonian is made and checked.
+    made = []
+    post_init = twomode.TwoModeHamiltonian.__post_init__
+
+    def counted(h):
+        made.append(h.m_total)
+        post_init(h)
+
+    monkeypatch.setattr(twomode.TwoModeHamiltonian, "__post_init__", counted)
+    cfg100.kernels(range(41))
+    assert made == []
+    twomode.build_h01(cfg100.coeffs, 3)
+    assert made == [3]
 
 
 def test_kernel_bytes_pinned():
@@ -383,6 +402,85 @@ def test_random_starts_conserve_mass_and_match_kernel_scatter(
         assert abs(res.retained_mass[i] - ref[(m >= 90) & (m <= 110)].sum()) <= tol
         assert abs(res.lost_mass[i] - ref[m < 10].sum()) <= tol
     assert np.max(np.abs(res.final.probabilities - ref)) <= tol
+
+
+def _per_cycle_reference(init, cfg):
+    """run_protocol one cycle at a time: each cycle certified and summed on
+    its own vector, the kernel columns built in the same batches."""
+    size = init.support_max + 1
+    p = np.zeros(cfg.m_max + 1)
+    p[:size] = init.probabilities[:size]
+    k = np.zeros((size, size))
+    built = np.zeros(size, dtype=bool)
+    m = np.arange(cfg.m_max + 1)
+    kept, gone = (protocol._band(lo, hi, cfg.m_max)
+                  for lo, hi in protocol._retained_and_lost(cfg.n0))
+    stats = []
+    for i in range(cfg.cycles + 1):
+        if i > 0:
+            new = np.flatnonzero((p[:size] > 0) & ~built)
+            if new.size:
+                for j, column in zip(new, cfg.kernels(new)):
+                    k[j::-1, j] = column
+                built[new] = True
+            p[:size] = k @ p[:size]
+            protocol._certify(p, f"cycle {i}: probabilities")
+        mean = np.sum(m * p)
+        stats.append((mean, np.sum((m - mean) ** 2 * p), np.sum(p[kept]), np.sum(p[gone])))
+    return np.array(stats).T, NumberDistribution(p).probabilities
+
+
+@pytest.mark.parametrize("cycles", [1, protocol._BLOCK - 1, protocol._BLOCK, protocol._BLOCK + 1])
+def test_blocked_statistics_equal_per_cycle_sums(cfg100, cycles):
+    # Row-wise sums over a block add each row as its own vector would, so
+    # blocking the cycles moves no bit on either side of a block's end.
+    cfg = replace(cfg100, cycles=cycles)
+    init = two_point_distribution(85, 110, m_max=115)
+    res = run_protocol(init, cfg)
+    (means, variances, retained, lost), final = _per_cycle_reference(init, cfg)
+    assert np.array_equal(res.means, means)
+    assert np.array_equal(res.variances, variances)
+    assert np.array_equal(res.retained_mass, retained)
+    assert np.array_equal(res.lost_mass, lost)
+    assert res.final.probabilities.tobytes() == final.tobytes()
+
+
+def test_certificate_names_the_first_failing_cycle(cfg100, monkeypatch):
+    # Kernels that gain 1e-11 of mass pass the 1e-9 sum check for about a
+    # hundred cycles; the blocked certificate names the cycle that checking
+    # every cycle names, past the first block.
+    kernels = ProtocolConfig.kernels
+    monkeypatch.setattr(
+        ProtocolConfig, "kernels",
+        lambda cfg, ms: [column * (1.0 + 1e-11) for column in kernels(cfg, ms)],
+    )
+    cfg = replace(cfg100, cycles=200)
+    init = point_distribution(95, m_max=115)
+    with pytest.raises(InvalidParameterError) as want:
+        _per_cycle_reference(init, cfg)
+    assert int(re.match(r"cycle (\d+):", str(want.value)).group(1)) > protocol._BLOCK
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(want.value))}$"):
+        run_protocol(init, cfg)
+
+
+def test_certificate_runs_before_later_kernels_are_built(case100, monkeypatch):
+    # Three cycles from 80/120 build new columns in each cycle.  The first
+    # batch gains mass, so cycle 1 fails its certificate; the second batch
+    # is never built, as when each cycle was certified as soon as it ran.
+    kernels = ProtocolConfig.kernels
+    batches = []
+
+    def inflated_once(cfg, ms):
+        batches.append(len(ms))
+        if len(batches) > 1:
+            raise AssertionError("kernels built after a failed cycle")
+        return [column * (1.0 + 1e-6) for column in kernels(cfg, ms)]
+
+    monkeypatch.setattr(ProtocolConfig, "kernels", inflated_once)
+    cfg = ProtocolConfig(n0=100.0, coeffs=case100["coeffs"], cycles=3, m_max=130)
+    with pytest.raises(InvalidParameterError, match="^cycle 1: "):
+        run_protocol(two_point_distribution(80, 120, m_max=130), cfg)
+    assert len(batches) == 1
 
 
 def test_cycle_certificate_rejects_a_kernel_that_gains_mass(cfg100, monkeypatch):

@@ -76,6 +76,12 @@ def test_banded_storage_matches_dense():
     assert band[0] == pytest.approx(np.diag(dense))
     assert band[1, :6] == pytest.approx(np.diag(dense, -1))
     assert band[2, :5] == pytest.approx(np.diag(dense, -2))
+    # DIA layout: dia[d, j] weighs x[j] in row j - offset.
+    dia = h.to_dia()
+    for d, offset in enumerate(twomode._OFFSETS):
+        for j in range(7):
+            row = j - offset
+            assert dia[d, j] == (dense[row, j] if 0 <= row < 7 else 0.0)
 
 
 def test_three_level_closed_form():
@@ -229,6 +235,51 @@ def test_large_branch_matches_eigensolution(case100):
     assert 0.0 < big.error_bound < 1e-14
 
 
+@pytest.mark.parametrize("gamma", [0.37, -0.37])
+@pytest.mark.parametrize("ms", [[1], [2], [2, 1, 1], [7, 1, 2, 30, 3]])
+def test_sector_bands_stack_each_sectors_band(ms, gamma):
+    # One elementwise pass over the stack writes each sector's band to the
+    # byte, as build_h01 has it, and +0.0 wherever a row would couple a
+    # sector to the next: three entries per sector, all of M = 1's second
+    # off-diagonal.  The formula gives -0.0 at each off1 seam here, and at
+    # one of the two off2 seams for either sign of gamma.
+    co = replace(GENERIC, gamma=gamma)
+    dia, ends = twomode._sector_bands(co, ms)
+    assert ends.tolist() == np.cumsum(np.add(ms, 1)).tolist()
+    assert dia.shape == (5, ends[-1])
+    for m, end in zip(ms, ends):
+        part = dia[:, end - m - 1 : end]
+        h = build_h01(co, m)
+        assert part.tobytes() == h.to_dia().tobytes()
+        assert part[[0, 2, 1]].tobytes() == h.to_banded_lower().tobytes()
+        seams = np.concatenate((part[2, m:], part[1, m - 1 :], part[3, :1], part[4, :2]))
+        assert seams.size == 6 and np.all(seams == 0.0) and not np.any(np.signbit(seams))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    ms=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    gamma=st.floats(-0.05, 0.05),
+    mu=st.floats(-3.0, 3.0),
+    g01=st.floats(-0.05, 0.05),
+    nbar=st.floats(0.0, 60.0),
+)
+def test_stacked_gershgorin_is_each_sectors_own(ms, gamma, mu, g01, nbar):
+    # The couplings between sectors are +0.0, so no disc reaches across a
+    # seam: each sector's interval is the one of its Hamiltonian alone, and
+    # that is the interval of the dense matrix's Gershgorin discs.
+    co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=1.3, g01=g01, alpha2=0.2, nbar=nbar)
+    centres, halves = twomode._gershgorin(*twomode._sector_bands(co, ms))
+    for m, centre, half in zip(ms, centres, halves):
+        h = build_h01(co, m)
+        assert (float(centre), float(half)) == _gershgorin(h)
+        dense = h.to_dense()
+        radius = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
+        lo, hi = np.min(np.diag(dense) - radius), np.max(np.diag(dense) + radius)
+        scale = 1e-13 * (np.max(np.abs(dense)) + 1.0)
+        assert abs(centre - 0.5 * (hi + lo)) <= scale and abs(half - 0.5 * (hi - lo)) <= scale
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 60),
@@ -263,7 +314,11 @@ def test_chebyshev_matches_dense_eigh(
     x2 = rng.normal(size=h2.m_total + 1)
     x2 /= np.linalg.norm(x2)
     pairs = [(h, amp.real), (h2, x2)]
-    for (got, _), (hh, x) in zip(twomode.propagate(pairs, t), pairs):
+    dia = np.concatenate([h.to_dia(), h2.to_dia()], axis=1)
+    ends = [m + 1, m + h2.m_total + 2]
+    s = np.stack((np.empty(ends[-1]), np.concatenate([amp.real, x2])))
+    stack = twomode._propagate_block(dia, ends, s, t)
+    for (got, _), (hh, x) in zip(stack, pairs):
         assert np.max(np.abs(got - dense(hh, x))) < 1e-10
 
 
@@ -295,7 +350,7 @@ def test_long_times_run_in_steps(monkeypatch):
     want = v @ (np.exp(-1j * w * t) * (v.T @ amp))
     monkeypatch.setattr(twomode, "_Z_MAX", 400.0)
     with pytest.raises(UnsupportedRegimeError):
-        list(twomode.propagate([(h, amp.real)], t))
+        twomode._propagate_block(h.to_dia(), [31], np.stack((amp.real, amp.real)), t)
     got = evolve_exact(h, TwoModeState(30, amp), t)
     assert np.max(np.abs(got.amplitudes - want)) < 1e-10
 
@@ -330,8 +385,8 @@ def test_large_dimension_matches_dense_eigensolution():
     co = CouplingCoefficients(**LARGE)
     t = math.pi / oscillation_law(co, 10000).omega_prime
     h = build_h01(co, 5000)
-    (_, half), = twomode._intervals([h], t)
-    assert twomode._bessel_series(twomode._gershgorin(h)[1] * t)[0].size == 21764
+    _, (half,) = twomode._intervals(h.to_dia(), [5001], t)
+    assert twomode._bessel_series(_gershgorin(h)[1] * t)[0].size == 21764
     assert twomode._bessel_series(half * t)[0].size == 18544
     s = evolve_exact(h, fock_state(5000, 0), t)
     assert mean_n1(s) == pytest.approx(263.14163520628176, rel=1e-8)
@@ -368,6 +423,12 @@ def test_large_dimension_bytes_independent_of_thread_count():
         assert out.decode().strip() == LARGE_DIGEST, threads
 
 
+def _gershgorin(h):
+    """The Gershgorin (centre, half-width) of h alone."""
+    centre, half = twomode._gershgorin(h.to_dia(), [h.m_total + 1])
+    return float(centre[0]), float(half[0])
+
+
 def _check_interval(h, interval):
     """The interval holds every dense eigenvalue, lies inside Gershgorin's
     and is tight.
@@ -385,7 +446,7 @@ def _check_interval(h, interval):
     """
     centre, half = interval
     w = np.linalg.eigvalsh(h.to_dense())
-    g_centre, g_half = twomode._gershgorin(h)
+    g_centre, g_half = _gershgorin(h)
     eps = np.finfo(float).eps
     ulps = 8.0 * eps * (abs(g_centre) + g_half)
     assert centre - half <= w[0] + ulps and w[-1] - ulps <= centre + half
@@ -409,7 +470,7 @@ def _check_interval(h, interval):
 def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, nbar):
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
     h = build_h01(co, m)
-    _check_interval(h, twomode._certified(h))
+    _check_interval(h, twomode._certified(h.to_dia()))
 
 
 def _record_dpbtrf(monkeypatch):
@@ -443,7 +504,7 @@ def test_bisection_refuses_and_proves_at_each_end(case100, monkeypatch):
     certify = twomode._certify_end
     monkeypatch.setattr(twomode, "_certify_end", certify_end)
     h = build_h01(case100["coeffs"], 300)
-    _check_interval(h, twomode._certified(h))
+    _check_interval(h, twomode._certified(h.to_dia()))
     assert len(calls) == 2 and len(infos) <= 22
     for end in calls:
         assert any(info > 0 for info in end) and any(info == 0 for info in end)
@@ -457,7 +518,7 @@ def test_bisection_stops_at_round_off():
     m = 6
     h = TwoModeHamiltonian(m_total=m, diag=np.full(m + 1, 1e8),
                            off1=np.full(m, 1e-6), off2=np.full(m - 1, 1e-7))
-    _check_interval(h, twomode._certified(h))
+    _check_interval(h, twomode._certified(h.to_dia()))
 
 
 def test_diagonal_hamiltonian_needs_no_factorization(monkeypatch):
@@ -466,8 +527,24 @@ def test_diagonal_hamiltonian_needs_no_factorization(monkeypatch):
     # exact Gershgorin interval comes back.
     infos = _record_dpbtrf(monkeypatch)
     h = build_h01(synthetic_coeffs(gamma=0.0, g01=0.0, mu=0.9, mu1=1.7, nbar=3.0), 40)
-    assert twomode._certified(h) == twomode._gershgorin(h)
+    assert twomode._certified(h.to_dia()) == _gershgorin(h)
     assert infos == []
+
+
+@pytest.mark.parametrize("bad", ["1", None, 1j, [0.0, "1"], [0.0, math.nan], math.inf])
+def test_trace_refuses_non_real_times(case100, bad):
+    # "1" was read as t = 1 and gave <n1> = 3.16; evolve_exact refuses it.
+    h = build_h01(case100["coeffs"], 4)
+    with pytest.raises(InvalidParameterError, match="times must be finite reals"):
+        mean_n1_trace(h, fock_state(4), bad)
+
+
+@pytest.mark.parametrize("bad", ["1", None, 1j, [0.0, "1"], [0.0, math.nan], math.inf])
+def test_analytic_law_refuses_non_real_times(case100, bad):
+    # The same check as the trace's: nan was reported as an overflowing phase.
+    law = oscillation_law(case100["coeffs"], 120)
+    with pytest.raises(InvalidParameterError, match="times must be finite reals"):
+        mean_n1_analytic(law, bad)
 
 
 def test_overflowing_phases_rejected():
