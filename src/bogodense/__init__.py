@@ -51,7 +51,6 @@ from .errors import (  # noqa: E402
 )
 from .gpe import (  # noqa: E402
     GroundMode,
-    gaussian_mode,
     gpe_residual,
     solve_gpe,
     thomas_fermi_mode,
@@ -86,7 +85,6 @@ _LAZY = {
         "TwoModeHamiltonian",
         "TwoModeState",
         "build_h01",
-        "dominant_frequency",
         "evolve_exact",
         "fock_state",
         "mean_n1",
@@ -137,7 +135,6 @@ __all__ = sorted(
         "build_xi1",
         "coefficients",
         "default_grid",
-        "gaussian_mode",
         "gpe_residual",
         "integrate",
         "laplacian",

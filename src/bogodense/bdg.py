@@ -138,11 +138,7 @@ def solve_bdg(gm, dp, num_modes=8):
 class Mode1Decomposition:
     p: np.ndarray
     q: np.ndarray
-    residual: float
-
-    @property
-    def sum_rule(self):
-        return float(np.sum(self.p**2 - self.q**2))
+    residual: float  # 1 - sum(p^2 - q^2)
 
 
 def decompose_mode1(m1, spectrum):

@@ -30,7 +30,7 @@ from .errors import (
 from .grid import RadialField, integrate, laplacian
 from .params import _count, _real
 
-_METHODS = ("numeric", "thomas_fermi", "gaussian")
+_METHODS = ("numeric", "thomas_fermi")
 # A ground mode may keep at most this weight in the outer tenth of the
 # grid; more means the hard wall at r_max cuts the cloud.
 _WALL_WEIGHT_TOL = 1e-8
@@ -78,13 +78,6 @@ def chemical_potential(dp, xi):
     return _apply_h(dp, xi)[1]
 
 
-def energy(dp, xi):
-    """GP energy functional; decreases monotonically under imaginary time."""
-    mu = chemical_potential(dp, xi)
-    quartic = integrate(RadialField(xi.grid, xi.values**4))
-    return mu - 0.5 * dp.g * dp.nbar * quartic
-
-
 def residual_norm(dp, xi):
     hxi, mu = _apply_h(dp, xi)
     res = hxi - mu * xi.values
@@ -94,9 +87,8 @@ def residual_norm(dp, xi):
 def gpe_residual(gm, dp):
     """L2 norm of (H[xi0] - mu) xi0 with the discrete operators, at gm.nbar.
 
-    Converged numeric modes sit at the solver tolerance; analytic profiles
-    (Gaussian with g = 0, Thomas-Fermi) show the discretization floor
-    instead.
+    Converged numeric modes sit at the solver tolerance; the Thomas-Fermi
+    profile shows the discretization floor instead.
     """
     return residual_norm(replace(dp, nbar=gm.nbar), gm.xi0)
 
@@ -185,13 +177,11 @@ def _thomas_fermi(dp, grid):
     return np.sqrt(np.maximum(mu - 0.5 * grid.nodes**2, 0.0) / (dp.g * dp.nbar)), mu
 
 
-def _gaussian(grid):
-    """The oscillator ground state of gaussian_mode."""
-    return np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
-
-
 def _initial_guess(dp, grid):
-    values = _thomas_fermi(dp, grid)[0] if dp.g > 0 and dp.b_tf > 2.0 else _gaussian(grid)
+    if dp.g > 0 and dp.b_tf > 2.0:
+        values = _thomas_fermi(dp, grid)[0]
+    else:  # the oscillator ground state
+        values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
     norm = integrate(RadialField(grid, values**2))
     if not norm > 0.0:
         raise InvalidParameterError(
@@ -327,12 +317,4 @@ def thomas_fermi_mode(dp, grid):
         method="thomas_fermi",
         residual=residual_norm(dp, xi0),
         iterations=0,
-    )
-
-
-def gaussian_mode(grid, nbar):
-    """Oscillator ground state, the exact g = 0 mode (mu = 3/2)."""
-    xi0 = RadialField(grid, _gaussian(grid))
-    return GroundMode(
-        xi0=xi0, mu=1.5, nbar=nbar, method="gaussian", residual=0.0, iterations=0
     )

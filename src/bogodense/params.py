@@ -71,7 +71,6 @@ _DIMENSIONLESS_BOUNDS = (
     ("g", -math.inf, False),
     ("b_tf", 0.0, False),
     ("nbar", 1.0, False),
-    ("n0", 0.0, True),
 )
 
 
@@ -113,15 +112,14 @@ class DimensionlessParams:
     b_tf : float
         Thomas-Fermi parameter (15*nbar*a_sc/r0)^(2/5); the TF chemical
         potential is b_tf/2.
-    nbar, n0 : float
-        Copied occupation numbers.
+    nbar : float
+        Copied mean total atom number.
     """
 
     r0: float
     g: float
     b_tf: float
     nbar: float
-    n0: float
 
     def __post_init__(self):
         _check_fields(self, _DIMENSIONLESS_BOUNDS)
@@ -137,6 +135,4 @@ def to_dimensionless(params):
     r0 = _real(math.sqrt(HBAR / mass_omega), "r0", 0.0, strict=True)
     g = 4.0 * math.pi * params.scattering_length / r0
     b_tf = (15.0 * params.nbar * params.scattering_length / r0) ** 0.4
-    return DimensionlessParams(
-        r0=r0, g=g, b_tf=b_tf, nbar=params.nbar, n0=params.n0
-    )
+    return DimensionlessParams(r0=r0, g=g, b_tf=b_tf, nbar=params.nbar)

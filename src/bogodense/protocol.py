@@ -89,10 +89,6 @@ class NumberDistribution:
         mu = np.sum(m * self.probabilities)
         return float(np.sum((m - mu) ** 2 * self.probabilities))
 
-    def mass_in(self, lo, hi):
-        """Probability of lo <= M <= hi."""
-        return float(np.sum(self.probabilities[_band(lo, hi, self.m_max)]))
-
     def conditional_variance(self, lo, hi):
         """Variance of M restricted to the band [lo, hi]; nan for empty mass."""
         band = _band(lo, hi, self.m_max)

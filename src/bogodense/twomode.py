@@ -111,15 +111,6 @@ class TwoModeHamiltonian:
             band.flags.writeable = False
             object.__setattr__(self, name, band)
 
-    def to_banded_lower(self):
-        """Lower-banded storage (3, M+1) as used by scipy.linalg.eig_banded."""
-        m = self.m_total
-        band = np.zeros((3, m + 1))
-        band[0] = self.diag
-        band[1, :m] = self.off1
-        band[2, : m - 1] = self.off2
-        return band
-
     def to_dia(self):
         """The band in the DIA layout of _OFFSETS, (5, M+1), +0.0 outside H."""
         m = self.m_total
@@ -142,9 +133,8 @@ class TwoModeHamiltonian:
 
     def eigensystem(self):
         if self._eig is None:
-            object.__setattr__(
-                self, "_eig", eig_banded(self.to_banded_lower(), lower=True)
-            )
+            band = self.to_dia()[[0, 2, 1]]  # lower band storage
+            object.__setattr__(self, "_eig", eig_banded(band, lower=True))
         return self._eig
 
 
@@ -237,7 +227,7 @@ def build_h01(coeffs, m_total):
 
 
 def _gershgorin(dia, ends):
-    """Centres and half-widths of intervals that hold each sector's spectrum.
+    """Centres and half-widths of intervals holding each spectrum up to rounding.
 
     dia is a stack of sectors in DIA layout (_sector_bands), and ends the
     end of each.  Each eigenvalue lies in a Gershgorin disc: within the
@@ -347,7 +337,7 @@ def _certify_end(band, gersh, sign):
 
 
 def _certified(dia):
-    """The certified (centre, half-width) of one sector's spectrum.
+    """The certified (centre, half-width) of one sector's spectrum, up to rounding.
 
     dia is the sector in DIA layout (TwoModeHamiltonian.to_dia).  Each end
     is bisected by banded Cholesky factorizations (_certify_end) of its
@@ -509,7 +499,8 @@ def evolve_exact(h, s0, t):
     if t == 0.0:
         return s0
     size = h.m_total + 1
-    steps = float(_gershgorin(h.to_dia(), [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
+    dia = h.to_dia()
+    steps = float(_gershgorin(dia, [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:
@@ -525,7 +516,7 @@ def evolve_exact(h, s0, t):
         for lo, hi in _stacks([size] * len(parts)):
             ends = size * np.arange(1, hi - lo + 1)
             s = np.stack((np.empty(ends[-1]), np.concatenate(parts[lo:hi])))
-            out += _propagate_block(np.tile(h.to_dia(), hi - lo), ends, s, t / steps)
+            out += _propagate_block(np.tile(dia, hi - lo), ends, s, t / steps)
         amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
         bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
@@ -719,28 +710,3 @@ def mean_n1_analytic(law, t):
     wt = law.omega_prime * t
     out = law.c1 * np.sin(wt) ** 2 + law.c2 * (np.cos(wt) - 1.0) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def dominant_frequency(times, values):
-    """Angular frequency of the strongest spectral line of a sampled signal.
-
-    Uses a Hann window and parabolic refinement of the FFT peak.  For a
-    c2 = 0 occupation trace the strongest line sits at 2*w'.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size < 8:
-        raise InvalidParameterError("need at least 8 samples")
-    dt = np.diff(times)
-    if not (dt[0] > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
-        raise InvalidParameterError("samples must be increasing and uniformly spaced")
-    n = values.size
-    window = np.hanning(n)
-    spectrum = np.abs(np.fft.rfft((values - values.mean()) * window))
-    k = int(np.argmax(spectrum[1:])) + 1
-    if 1 <= k < spectrum.size - 1:
-        a, b, c = spectrum[k - 1], spectrum[k], spectrum[k + 1]
-        denom = a - 2.0 * b + c
-        if denom != 0.0:
-            k = k + 0.5 * (a - c) / denom
-    return 2.0 * math.pi * k / (n * dt[0])

@@ -4,7 +4,10 @@ The dense two-mode Hamiltonian here is built from raw creation/annihilation
 matrices on a tensor-product Fock space and restricted to the fixed-total
 subspace afterwards.  It shares no code with the banded builder, so matching
 it entry-for-entry checks the operator algebra behind the matrix elements.
+dominant_frequency reads the strongest spectral line of a sampled trace.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from bogodense import (
     solve_gpe,
     to_dimensionless,
 )
+from bogodense.errors import InvalidParameterError
 
 # Reference trap: rubidium-87 mass, a_sc = 10 nm, nu = 1000 Hz.
 MASS = 1.44e-25
@@ -103,3 +107,28 @@ def dense_h01_oracle(coeffs, m_total):
     # |m0, m1> lives at flat index m0 * dim + m1.
     idx = [(m_total - n) * dim + n for n in range(m_total + 1)]
     return h[np.ix_(idx, idx)]
+
+
+def dominant_frequency(times, values):
+    """Angular frequency of the strongest spectral line of a sampled signal.
+
+    Uses a Hann window and parabolic refinement of the FFT peak.  For a
+    c2 = 0 occupation trace the strongest line sits at 2*w'.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size < 8:
+        raise InvalidParameterError("need at least 8 samples")
+    dt = np.diff(times)
+    if not (dt[0] > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
+        raise InvalidParameterError("samples must be increasing and uniformly spaced")
+    n = values.size
+    window = np.hanning(n)
+    spectrum = np.abs(np.fft.rfft((values - values.mean()) * window))
+    k = int(np.argmax(spectrum[1:])) + 1
+    if 1 <= k < spectrum.size - 1:
+        a, b, c = spectrum[k - 1], spectrum[k], spectrum[k + 1]
+        denom = a - 2.0 * b + c
+        if denom != 0.0:
+            k = k + 0.5 * (a - c) / denom
+    return 2.0 * math.pi * k / (n * dt[0])

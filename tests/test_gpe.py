@@ -14,7 +14,6 @@ from bogodense import (
     RadialField,
     RadialGrid,
     default_grid,
-    gaussian_mode,
     gpe_residual,
     integrate,
     solve_gpe,
@@ -33,7 +32,6 @@ from bogodense.gpe import (
     _initial_guess,
     _ptsv,
     chemical_potential,
-    energy,
     imaginary_time_step,
     newton_step,
     residual_norm,
@@ -81,7 +79,8 @@ def test_residual_at_tolerance(fig1):
 def test_residual_discretization_floor():
     dp = to_dimensionless(reference_params(10.0, a_sc=0.0))
     grid = default_grid(dp, n_points=1000)
-    res = gpe_residual(gaussian_mode(grid, dp.nbar), dp)
+    gaussian = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
+    res = residual_norm(dp, RadialField(grid, gaussian))
     # sampled Gaussian on h = 8e-3: pure O(h^2) floor
     assert 0.0 < res < 1e-3
 
@@ -118,7 +117,7 @@ def test_thomas_fermi_needs_interaction():
 
 def test_attractive_rejected():
     dp = to_dimensionless(reference_params(100.0))
-    bad = DimensionlessParams(r0=dp.r0, g=-dp.g, b_tf=dp.b_tf, nbar=dp.nbar, n0=dp.n0)
+    bad = DimensionlessParams(r0=dp.r0, g=-dp.g, b_tf=dp.b_tf, nbar=dp.nbar)
     with pytest.raises(UnsupportedRegimeError):
         solve_gpe(bad, default_grid(dp, n_points=500))
 
@@ -219,12 +218,18 @@ def test_solve_gpe_bits_do_not_depend_on_the_solver_path(monkeypatch, nbar):
 def test_energy_monotone_under_imaginary_time():
     dp = to_dimensionless(reference_params(1.0e4))
     grid = default_grid(dp, n_points=1500)
+
+    def energy(values):
+        """GP energy functional, mu - (g*nbar/2) integral(xi^4)."""
+        mu = chemical_potential(dp, RadialField(grid, values))
+        return mu - 0.5 * dp.g * dp.nbar * integrate(RadialField(grid, values**4))
+
     values = np.pi**-0.75 * np.exp(-0.5 * grid.nodes**2)
     values /= math.sqrt(integrate(RadialField(grid, values**2)))
-    energies = [energy(dp, RadialField(grid, values))]
+    energies = [energy(values)]
     for _ in range(60):
         values = imaginary_time_step(dp, grid, values, 0.02)
-        energies.append(energy(dp, RadialField(grid, values)))
+        energies.append(energy(values))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10)
     assert energies[-1] < energies[0]

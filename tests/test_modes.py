@@ -107,7 +107,7 @@ def test_degenerate_profile_rejected():
         xi0=RadialField(grid, flat),
         mu=0.0,
         nbar=10.0,
-        method="gaussian",
+        method="numeric",
         residual=0.0,
         iterations=0,
     )

@@ -203,16 +203,14 @@ REALS = {
     "trap_frequency": (_physical("trap_frequency"), 1000.0, 0.0),
     "nbar": (_physical("nbar"), 1.0e4, float(np.nextafter(1.0, 0.0))),
     "n0": (_physical("n0"), 1.0e4, 0.0),
-    "r0": (lambda c, x: astuple(DimensionlessParams(x, 0.1, 1.0, 100.0, 100.0)), 3e-7, 0.0),
-    "g": (lambda c, x: astuple(DimensionlessParams(3e-7, x, 1.0, 100.0, 100.0)), 0.1, None),
+    "r0": (lambda c, x: astuple(DimensionlessParams(x, 0.1, 1.0, 100.0)), 3e-7, 0.0),
+    "g": (lambda c, x: astuple(DimensionlessParams(3e-7, x, 1.0, 100.0)), 0.1, None),
     # nbar = -5 gave a ground mode at mu = 1.467 in the attractive regime.
     "DimensionlessParams-b_tf": (
-        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, x, 100.0, 100.0)), 1.0, _BELOW_ZERO),
+        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, x, 100.0)), 1.0, _BELOW_ZERO),
     "DimensionlessParams-nbar": (
-        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, 1.0, x, 100.0)), 100.0,
+        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, 1.0, x)), 100.0,
         float(np.nextafter(1.0, 0.0))),
-    "DimensionlessParams-n0": (
-        lambda c, x: astuple(DimensionlessParams(3e-7, 0.1, 1.0, 100.0, x)), 100.0, 0.0),
     # "100" ended in a bare TypeError, nan in a message about the working point.
     "ProtocolConfig-n0": (
         lambda c, x: (ProtocolConfig(n0=x, coeffs=c["coeffs"], cycles=1, m_max=10).n0,),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bogodense.twomode as twomode
@@ -19,7 +19,6 @@ from bogodense import (
     TwoModeHamiltonian,
     TwoModeState,
     build_h01,
-    dominant_frequency,
     evolve_exact,
     fock_state,
     mean_n1,
@@ -33,7 +32,7 @@ from bogodense.errors import (
     UnsupportedRegimeError,
 )
 
-from oracles import dense_h01_oracle, synthetic_coeffs
+from oracles import dense_h01_oracle, dominant_frequency, synthetic_coeffs
 
 
 GENERIC = synthetic_coeffs(
@@ -72,7 +71,7 @@ def test_banded_storage_matches_dense():
     h = build_h01(GENERIC, 6)
     dense = h.to_dense()
     assert np.array_equal(dense, dense.T)  # exact symmetry
-    band = h.to_banded_lower()
+    band = h.to_dia()[[0, 2, 1]]  # lower band storage, as eig_banded reads it
     assert band[0] == pytest.approx(np.diag(dense))
     assert band[1, :6] == pytest.approx(np.diag(dense, -1))
     assert band[2, :5] == pytest.approx(np.diag(dense, -2))
@@ -251,7 +250,6 @@ def test_sector_bands_stack_each_sectors_band(ms, gamma):
         part = dia[:, end - m - 1 : end]
         h = build_h01(co, m)
         assert part.tobytes() == h.to_dia().tobytes()
-        assert part[[0, 2, 1]].tobytes() == h.to_banded_lower().tobytes()
         seams = np.concatenate((part[2, m:], part[1, m - 1 :], part[3, :1], part[4, :2]))
         assert seams.size == 6 and np.all(seams == 0.0) and not np.any(np.signbit(seams))
 
@@ -377,7 +375,7 @@ def test_large_dimension_matches_dense_eigensolution():
     # Above the eigensolver limit a step-count heuristic once returned
     # <n1> = 565.5 for this case.  The pinned <n1> comes from a one-off
     # dense solve of the same Hamiltonian: scipy.linalg.eig_banded on
-    # h.to_banded_lower() for all 5001 eigenpairs (w, v), amplitudes
+    # h's lower band storage for all 5001 eigenpairs (w, v), amplitudes
     # v @ (exp(-i w t) * v[0]), <n1> = sum_n n |amp_n|^2.  The digest pins
     # the amplitude bytes of the Chebyshev recursion itself: a faster
     # recursion must sum every row in the same order.  The term counts pin
@@ -436,7 +434,10 @@ def _check_interval(h, interval):
     All three hold up to a few units of round-off in |H|: eigvalsh's own
     error and the (centre, half-width) form, where an end that falls back
     on a Gershgorin end touching the spectrum (a diagonal H) may move an
-    ulp.  Tight means each end lies within _BISECT_TOL Gershgorin
+    ulp.  With underflow a unit of round-off is at least the subnormal
+    spacing (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 2.1): halving a subnormal end rounds, and eps |H| is then 0.
+    Tight means each end lies within _BISECT_TOL Gershgorin
     half-widths, plus its Cholesky bound, of the dense end.  That bound,
     and the round-off by which a refused factorization may sit past the
     end, are each below 32 eps (|centre| + half-width) of Gershgorin's: on
@@ -448,7 +449,8 @@ def _check_interval(h, interval):
     w = np.linalg.eigvalsh(h.to_dense())
     g_centre, g_half = _gershgorin(h)
     eps = np.finfo(float).eps
-    ulps = 8.0 * eps * (abs(g_centre) + g_half)
+    tiny = np.finfo(float).smallest_subnormal
+    ulps = 8.0 * max(eps * (abs(g_centre) + g_half), tiny)
     assert centre - half <= w[0] + ulps and w[-1] - ulps <= centre + half
     assert g_centre - g_half - ulps <= centre - half
     assert centre + half <= g_centre + g_half + ulps
@@ -467,6 +469,11 @@ def _check_interval(h, interval):
     alpha2=st.floats(0.01, 0.5),
     nbar=st.floats(0.0, 60.0),
 )
+# Subnormal spectra, where both intervals round to their ends: {0, 5e-324}
+# inside [0, 0], and two tightness checks one subnormal spacing off.
+@example(m=1, gamma=0.0, mu=0.0, mu1=5e-324, g01=0.0, alpha2=0.5, nbar=0.0)
+@example(m=2, gamma=0.0, mu=5e-324, mu1=0.0, g01=5e-324, alpha2=0.5, nbar=0.0)
+@example(m=2, gamma=0.0, mu=0.0, mu1=0.0, g01=5e-324, alpha2=0.5, nbar=0.0)
 def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, nbar):
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
     h = build_h01(co, m)
