@@ -85,50 +85,43 @@ _OFFSETS = np.array([0, -2, -1, 1, 2], dtype=np.int32)
 
 @dataclass(frozen=True, eq=False)
 class TwoModeHamiltonian:
-    """The band of H at total number M, checked once and read-only.
+    """H at total number M, fixed by the coupling coefficients and M alone.
 
+    No band is stored: _sector_bands writes it whenever one is needed, and
+    once in __post_init__, so a non-finite matrix element is refused when
+    H is made.  diag, off1 and off2 are read-only views of a fresh band.
     The eigensystem is computed on the first eigensystem() call and cached
     in _eig; the fields cannot change, so the cache cannot go stale.
     """
 
+    coeffs: object  # CouplingCoefficients
     m_total: int
-    diag: np.ndarray  # <n|H|n>, length M+1
-    off1: np.ndarray  # <n+1|H|n>, length M
-    off2: np.ndarray  # <n+2|H|n>, length M-1
     _eig: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        m = _count(self.m_total, "m_total", 1)
-        object.__setattr__(self, "m_total", m)
-        for name, size in (("diag", m + 1), ("off1", m), ("off2", m - 1)):
-            band = np.array(getattr(self, name), dtype=float)
-            if band.shape != (size,):
-                raise InvalidParameterError(
-                    f"{name} needs {size} entries at M = {m}, got shape {band.shape}"
-                )
-            if not np.all(np.isfinite(band)):
-                raise InvalidParameterError(f"{name} has non-finite entries at M = {m}")
-            band.flags.writeable = False
-            object.__setattr__(self, name, band)
+        object.__setattr__(self, "m_total", _count(self.m_total, "m_total", 1))
+        self.to_dia()  # raises on a non-finite matrix element
 
     def to_dia(self):
         """The band in the DIA layout of _OFFSETS, (5, M+1), +0.0 outside H."""
-        m = self.m_total
-        dia = np.zeros((5, m + 1))
-        dia[0] = self.diag
-        dia[1, : m - 1] = dia[4, 2:] = self.off2
-        dia[2, :m] = dia[3, 1:] = self.off1
-        return dia
+        return _sector_bands(self.coeffs, [self.m_total])[0]
+
+    def _row(self, d, size):
+        row = self.to_dia()[d, :size]
+        row.flags.writeable = False
+        return row
+
+    diag = property(lambda self: self._row(0, self.m_total + 1))  # <n|H|n>
+    off1 = property(lambda self: self._row(2, self.m_total))  # <n+1|H|n>
+    off2 = property(lambda self: self._row(1, self.m_total - 1))  # <n+2|H|n>
 
     def to_dense(self):
-        m = self.m_total
-        a = np.diag(self.diag)
-        idx = np.arange(m)
-        a[idx + 1, idx] = self.off1
-        a[idx, idx + 1] = self.off1
-        idx = np.arange(m - 1)
-        a[idx + 2, idx] = self.off2
-        a[idx, idx + 2] = self.off2
+        dia = self.to_dia()
+        n = dia.shape[1]
+        a = np.zeros((n, n))
+        for off, row in zip(_OFFSETS, dia):
+            j = np.arange(max(off, 0), n + min(off, 0))
+            a[j - off, j] = row[j]
         return a
 
     def eigensystem(self):
@@ -168,9 +161,11 @@ def fock_state(m_total, n1=0):
 def _sector_bands(coeffs, ms):
     """The band of H over the sectors M in ms in DIA layout, and their ends.
 
-    The sectors sit one after another in a (5, n) array in the layout of
-    _OFFSETS, all written in one elementwise pass: row 0 holds each
-    <n|H|n>, row 2 each <n+1|H|n> and row 1 each <n+2|H|n>, and rows 3
+    The one writer of matrix elements: TwoModeHamiltonian.to_dia is its
+    one-sector case, and propagate and evolve_exact build their stacks
+    with it.  The sectors sit one after another in a (5, n) array in the
+    layout of _OFFSETS, all written in one elementwise pass: row 0 holds
+    each <n|H|n>, row 2 each <n+1|H|n> and row 1 each <n+2|H|n>, and rows 3
     and 4 are rows 2 and 1 moved one and two places on.  Every entry that
     would couple a sector to the next is +0.0, so the stack is
     block-diagonal and one sector's slice is its TwoModeHamiltonian.to_dia.
@@ -217,13 +212,8 @@ def _sector_bands(coeffs, ms):
 
 
 def build_h01(coeffs, m_total):
-    """Banded matrix of the two-mode Hamiltonian for fixed total number M.
-
-    The one-sector case of _sector_bands, which holds the matrix elements.
-    """
-    m = _count(m_total, "m_total", 1)
-    dia, _ = _sector_bands(coeffs, [m])
-    return TwoModeHamiltonian(m_total=m, diag=dia[0], off1=dia[2, :m], off2=dia[1, : m - 1])
+    """The two-mode Hamiltonian for fixed total number M (TwoModeHamiltonian)."""
+    return TwoModeHamiltonian(coeffs, m_total)
 
 
 def _gershgorin(dia, ends):
@@ -491,16 +481,15 @@ def evolve_exact(h, s0, t):
     steps of at most _Z_MAX / 2 terms each, counted on the Gershgorin
     half-width, which bounds the one that scales each series (_intervals);
     a complex state runs its real and imaginary parts as two sectors of one
-    stack (_stacks).  The state's error_bound grows by the truncation
-    bound of each series.
+    stack (_stacks), whose band _sector_bands writes afresh on each step.
+    The state's error_bound grows by the truncation bound of each series.
     """
     _check_state(h, s0)
     t = _real(t, "t")
     if t == 0.0:
         return s0
     size = h.m_total + 1
-    dia = h.to_dia()
-    steps = float(_gershgorin(dia, [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
+    steps = float(_gershgorin(h.to_dia(), [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:
@@ -514,9 +503,10 @@ def evolve_exact(h, s0, t):
         parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
         out = []
         for lo, hi in _stacks([size] * len(parts)):
-            ends = size * np.arange(1, hi - lo + 1)
+            dia, ends = _sector_bands(h.coeffs, [h.m_total] * (hi - lo))
             s = np.stack((np.empty(ends[-1]), np.concatenate(parts[lo:hi])))
-            out += _propagate_block(np.tile(dia, hi - lo), ends, s, t / steps)
+            out += _propagate_block(dia, ends, s, t / steps)
+            del dia, s  # before the next band is built
         amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
         bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)

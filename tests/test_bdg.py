@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from bogodense import (
     EigensolverError,
@@ -186,6 +187,26 @@ def test_rejects_thomas_fermi_ground_mode(fig1):
 def test_rejects_bad_mode_count(fig1):
     with pytest.raises(InvalidParameterError):
         solve_bdg(fig1["gm"], fig1["dp"], num_modes=0)
+
+
+def _no_convergence(a, k, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+
+def _complex_pairs(a, k, **kwargs):
+    # Eigenvalues whose imaginary parts match their real parts.
+    return np.full(k, 2.0 + 2.0j), np.ones((a.shape[0], k), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    [(_no_convergence, "Arnoldi iteration failed"), (_complex_pairs, "eigenvalues are not real")],
+)
+def test_unreliable_arnoldi_solve_refused(fig1, monkeypatch, fake, message):
+    monkeypatch.setattr("bogodense.bdg.eigs", fake)
+    with pytest.raises(EigensolverError, match=message) as err:
+        solve_bdg(fig1["gm"], fig1["dp"], num_modes=2)
+    assert err.value.category == "eigensolver-failure"
 
 
 def test_grid_too_small_for_requested_modes():

@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -263,6 +263,9 @@ _INTEGERS = (bool, int, np.integer)
 
 @given(value=_ANY, low=st.one_of(st.just(-math.inf), st.floats(allow_nan=False)),
        strict=st.booleans())
+# Ints beyond the float range, which float() refuses with OverflowError.
+@example(value=10**400, low=-math.inf, strict=False)
+@example(value=-(10**400), low=-math.inf, strict=False)
 def test_real_returns_the_float_or_refuses(value, low, strict):
     want = None
     if isinstance(value, _FLOATS + _INTEGERS):

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from bogodense import (
 )
 from bogodense.errors import (
     InapplicableLawError,
+    IntegratorFailureError,
     InvalidParameterError,
     UnsupportedRegimeError,
 )
@@ -136,19 +137,29 @@ def test_non_finite_coefficients_rejected(bad):
 
 
 def test_hamiltonian_is_a_checked_frozen_value():
-    h = build_h01(GENERIC, 6)
+    # H is its coefficients and M; the band is written from them on demand.
+    h = TwoModeHamiltonian(GENERIC, 6)
+    assert [f.name for f in fields(h)] == ["coeffs", "m_total", "_eig"]
+    assert h.to_dia().tobytes() == twomode._sector_bands(GENERIC, [6])[0].tobytes()
     with pytest.raises(FrozenInstanceError):
         h.diag = np.zeros(7)
+    with pytest.raises(FrozenInstanceError):
+        h.m_total = 7
     with pytest.raises(ValueError):
-        h.off1[0] = 1.0  # the band is read-only
+        h.off1[0] = 1.0  # the band's views are read-only
     with pytest.raises(TypeError):
-        TwoModeHamiltonian(6, h.diag, h.off1, h.off2, _eig=None)
+        TwoModeHamiltonian(GENERIC, 6, _eig=None)
+    with pytest.raises(TypeError):
+        TwoModeHamiltonian(GENERIC, 6, h.diag)  # no hand-made band
     assert h.eigensystem() is h.eigensystem()
-    # Band lengths must be M+1, M and M-1, and M at least 1.
-    with pytest.raises(InvalidParameterError, match="off2 needs 5"):
-        TwoModeHamiltonian(6, h.diag, h.off1, h.off2[:-1])
+    # M must be a count of at least 1, and the band is checked when H is made.
     with pytest.raises(InvalidParameterError):
-        TwoModeHamiltonian(0, np.zeros(1), np.zeros(0), np.zeros(0))
+        TwoModeHamiltonian(GENERIC, 0)
+    with pytest.raises(InvalidParameterError, match="m_total must be an integer"):
+        TwoModeHamiltonian(GENERIC, 6.5)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            TwoModeHamiltonian(replace(GENERIC, g01=math.nan), 6)
 
 
 def test_mean_n1_reference_states():
@@ -421,6 +432,47 @@ def test_large_dimension_bytes_independent_of_thread_count():
         assert out.decode().strip() == LARGE_DIGEST, threads
 
 
+def _record_stacks(monkeypatch):
+    """Patch twomode's _propagate_block to append each stack's ends to the returned list."""
+    stacks = []
+    propagate_block = twomode._propagate_block
+
+    def recorded(dia, ends, s, t):
+        stacks.append(np.asarray(ends).tolist())
+        return propagate_block(dia, ends, s, t)
+
+    monkeypatch.setattr(twomode, "_propagate_block", recorded)
+    return stacks
+
+
+def test_complex_start_bytes_pinned(monkeypatch):
+    # The real and imaginary parts of a complex start run as two sectors of
+    # one stack; the digest pins the amplitude bytes of that recursion.
+    stacks = _record_stacks(monkeypatch)
+    co = CouplingCoefficients(**LARGE)
+    t = math.pi / oscillation_law(co, 10000).omega_prime
+    n = np.arange(301.0)
+    amp = np.exp(0.37j * n - ((n - 40.0) / 15.0) ** 2)
+    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+    s = evolve_exact(build_h01(co, 300), TwoModeState(300, amp), t)
+    assert stacks == [[301, 602]]
+    assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == (
+        "29692ac12cc9625726c8919cf3ca77881fa2acbd0bf0535185a4a6103a1cd349"
+    )
+
+
+def test_stepped_evolution_bytes_pinned(monkeypatch):
+    # With _Z_MAX = 400 the call splits into eight steps: the first runs
+    # the real start alone, the other seven its real and imaginary parts.
+    stacks = _record_stacks(monkeypatch)
+    monkeypatch.setattr(twomode, "_Z_MAX", 400.0)
+    s = evolve_exact(build_h01(GENERIC, 30), fock_state(30, 0), -7.3)
+    assert stacks == [[31]] + [[31, 62]] * 7
+    assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == (
+        "7feb7ed88b997ebc1dc6acae34b32cde0fda1eee5e50c1e89cbbe10b0a70f4e2"
+    )
+
+
 def _gershgorin(h):
     """The Gershgorin (centre, half-width) of h alone."""
     centre, half = twomode._gershgorin(h.to_dia(), [h.m_total + 1])
@@ -521,10 +573,11 @@ def test_bisection_refuses_and_proves_at_each_end(case100, monkeypatch):
 def test_bisection_stops_at_round_off():
     # With couplings far below an ulp of a large diagonal, the bracket
     # reaches adjacent floats before _BISECT_TOL half-widths, where the
-    # midpoint no longer moves: the bisection stops there.
-    m = 6
-    h = TwoModeHamiltonian(m_total=m, diag=np.full(m + 1, 1e8),
-                           off1=np.full(m, 1e-6), off2=np.full(m - 1, 1e-7))
+    # midpoint no longer moves: the bisection stops there.  mu = mu1 puts
+    # every diagonal entry near 1e8, and the couplings are below 1e-6.
+    h = build_h01(synthetic_coeffs(mu=2.5e7, mu1=2.5e7, g01=1e-7, gamma=1e-7), 4)
+    _, half = _gershgorin(h)
+    assert twomode._BISECT_TOL * half < math.ulp(float(np.min(h.diag)))
     _check_interval(h, twomode._certified(h.to_dia()))
 
 
@@ -576,6 +629,19 @@ def test_huge_times_refused_before_stepping(case100, monkeypatch):
     h = build_h01(case100["coeffs"], 120)
     with pytest.raises(UnsupportedRegimeError, match="steps"):
         mean_n1_trace(h, fock_state(120, 0), np.array([0.0, 1e300]))
+
+
+def test_truncation_past_its_tolerance_refused(case100, monkeypatch):
+    # A series whose tail bound exceeds _TAIL_TOL raises instead of
+    # returning amplitudes it cannot vouch for, in evolve_exact and in the
+    # protocol kernels alike.
+    monkeypatch.setattr(twomode, "_TAIL_TOL", 0.0)
+    co = case100["coeffs"]
+    with pytest.raises(IntegratorFailureError, match="Chebyshev truncation bound"):
+        evolve_exact(build_h01(co, 20), fock_state(20, 0), 0.5)
+    cfg = ProtocolConfig(n0=100.0, coeffs=co, cycles=1, m_max=20)
+    with pytest.raises(IntegratorFailureError, match="Chebyshev truncation bound"):
+        cfg.kernels([20, 3])
 
 
 def test_trace_refuses_a_state_of_another_size(monkeypatch):
