@@ -36,68 +36,44 @@ def _cap_threads():
 
 _cap_threads()
 
-from .errors import (  # noqa: E402
-    BogodenseError,
-    ConfigError,
-    ConvergenceError,
-    DegenerateModeError,
-    EigensolverError,
-    InapplicableLawError,
-    IntegratorFailureError,
-    InvalidParameterError,
-    ProtocolInapplicableError,
-    TruncationOverflowError,
-    UnsupportedRegimeError,
-)
-from .gpe import (  # noqa: E402
-    GroundMode,
-    gpe_residual,
-    solve_gpe,
-    thomas_fermi_mode,
-)
-from .grid import RadialField, RadialGrid, default_grid, integrate, laplacian  # noqa: E402
-from .modes import CouplingCoefficients, ModeOne, build_xi1, coefficients, moment  # noqa: E402
-from .params import HBAR, DimensionlessParams, PhysicalParams, to_dimensionless  # noqa: E402
-
-# The mean-field names above need numpy alone.  These modules import scipy,
-# so their names load on first use (PEP 562): `import bogodense`, and a
-# command that stops at the mean-field stages, never pays for scipy.
-_LAZY = {
+# Every public name, under its home module.  Each loads on first use (PEP
+# 562), so `import bogodense` loads neither numpy nor scipy, and a name
+# costs only its own module's imports: a command that stops at the
+# mean-field stages never pays for scipy.
+_NAMES = {
     "bdg": (
-        "Mode1Decomposition",
-        "QuasiparticleSpectrum",
-        "decompose_mode1",
-        "project_orthogonal",
-        "solve_bdg",
+        "Mode1Decomposition", "QuasiparticleSpectrum", "decompose_mode1",
+        "project_orthogonal", "solve_bdg",
     ),
+    "errors": (
+        "BogodenseError", "ConfigError", "ConvergenceError", "DegenerateModeError",
+        "EigensolverError", "InapplicableLawError", "IntegratorFailureError",
+        "InvalidParameterError", "ProtocolInapplicableError",
+        "TruncationOverflowError", "UnsupportedRegimeError",
+    ),
+    "gpe": ("GroundMode", "solve_gpe", "thomas_fermi_mode"),
+    "grid": ("RadialField", "RadialGrid", "default_grid", "integrate", "laplacian"),
+    "modes": ("CouplingCoefficients", "ModeOne", "build_xi1", "coefficients", "moment"),
+    "params": ("HBAR", "DimensionlessParams", "PhysicalParams", "to_dimensionless"),
     "protocol": (
-        "NumberDistribution",
-        "ProtocolConfig",
-        "ProtocolResult",
-        "gaussian_distribution",
-        "point_distribution",
-        "run_cycle",
-        "run_protocol",
+        "NumberDistribution", "ProtocolConfig", "ProtocolResult",
+        "gaussian_distribution", "point_distribution", "run_cycle", "run_protocol",
         "two_point_distribution",
     ),
     "twomode": (
-        "OscillationLaw",
-        "TwoModeHamiltonian",
-        "TwoModeState",
-        "build_h01",
-        "evolve_exact",
-        "fock_state",
-        "mean_n1",
-        "mean_n1_analytic",
-        "mean_n1_trace",
+        "OscillationLaw", "TwoModeHamiltonian", "TwoModeState", "build_h01",
+        "evolve_exact", "fock_state", "mean_n1", "mean_n1_analytic", "mean_n1_trace",
         "oscillation_law",
     ),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__version__ = "0.1.0"
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    module = _LAZY_MODULE.get(name)
+    module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -106,42 +82,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_MODULE))
-
-
-__version__ = "0.1.0"
-
-__all__ = sorted(
-    [
-        "BogodenseError",
-        "ConfigError",
-        "ConvergenceError",
-        "CouplingCoefficients",
-        "DegenerateModeError",
-        "DimensionlessParams",
-        "EigensolverError",
-        "GroundMode",
-        "HBAR",
-        "InapplicableLawError",
-        "IntegratorFailureError",
-        "InvalidParameterError",
-        "ModeOne",
-        "PhysicalParams",
-        "ProtocolInapplicableError",
-        "RadialField",
-        "RadialGrid",
-        "TruncationOverflowError",
-        "UnsupportedRegimeError",
-        "build_xi1",
-        "coefficients",
-        "default_grid",
-        "gpe_residual",
-        "integrate",
-        "laplacian",
-        "moment",
-        "solve_gpe",
-        "thomas_fermi_mode",
-        "to_dimensionless",
-    ]
-    + list(_LAZY_MODULE)
-)
+    return sorted(set(globals()) | set(_HOME))

@@ -16,7 +16,7 @@ stability limit followed by renormalization, and Newton is tried again.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,15 +82,6 @@ def residual_norm(dp, xi):
     hxi, mu = _apply_h(dp, xi)
     res = hxi - mu * xi.values
     return math.sqrt(integrate(RadialField(xi.grid, res * res)))
-
-
-def gpe_residual(gm, dp):
-    """L2 norm of (H[xi0] - mu) xi0 with the discrete operators, at gm.nbar.
-
-    Converged numeric modes sit at the solver tolerance; the Thomas-Fermi
-    profile shows the discretization floor instead.
-    """
-    return residual_norm(replace(dp, nbar=gm.nbar), gm.xi0)
 
 
 def _ptsv(d, e, b):

@@ -80,15 +80,6 @@ class NumberDistribution:
         nz = np.flatnonzero(self.probabilities)
         return int(nz[-1]) if nz.size else 0
 
-    def mean(self):
-        m = np.arange(self.probabilities.size)
-        return float(np.sum(m * self.probabilities))
-
-    def variance(self):
-        m = np.arange(self.probabilities.size)
-        mu = np.sum(m * self.probabilities)
-        return float(np.sum((m - mu) ** 2 * self.probabilities))
-
     def conditional_variance(self, lo, hi):
         """Variance of M restricted to the band [lo, hi]; nan for empty mass."""
         band = _band(lo, hi, self.m_max)

@@ -438,8 +438,11 @@ def _propagate_block(dia, ends, s, t):
     return [(part, tail) for part in np.split(amp, ends[:-1])]
 
 
-def propagate(coeffs, ms, t):
-    """Yield (exp(-iH_M t)|M, 0>, tail) for each sector M >= 1 of ms.
+def propagate(coeffs, ms, t, starts=None):
+    """Yield (exp(-iH_M t) x, tail) for each sector M >= 1 of ms.
+
+    x is the real vector starts[i] for the i-th sector, or |M, 0> when
+    starts is None.
 
     Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): it needs only band matrix-vector products, and
@@ -461,7 +464,10 @@ def propagate(coeffs, ms, t):
     for lo, hi in _stacks([m + 1 for m in ms]):
         dia, ends = _sector_bands(coeffs, ms[lo:hi])
         s = np.zeros((2, dia.shape[1]))
-        s[1, np.concatenate(([0], ends[:-1]))] = 1.0  # |M, 0>: n1 = 0
+        if starts is None:
+            s[1, np.concatenate(([0], ends[:-1]))] = 1.0  # |M, 0>: n1 = 0
+        else:
+            s[1] = np.concatenate(starts[lo:hi])
         yield from _propagate_block(dia, ends, s, t)
         del dia, s  # before the next stack is built
 
@@ -480,16 +486,15 @@ def evolve_exact(h, s0, t):
     The Chebyshev propagator acts on the band at every size, in equal
     steps of at most _Z_MAX / 2 terms each, counted on the Gershgorin
     half-width, which bounds the one that scales each series (_intervals);
-    a complex state runs its real and imaginary parts as two sectors of one
-    stack (_stacks), whose band _sector_bands writes afresh on each step.
+    a complex state runs its real and imaginary parts as two sectors
+    (propagate), whose band is written afresh on each step.
     The state's error_bound grows by the truncation bound of each series.
     """
     _check_state(h, s0)
     t = _real(t, "t")
     if t == 0.0:
         return s0
-    size = h.m_total + 1
-    steps = float(_gershgorin(h.to_dia(), [size])[1][0]) * abs(t) / (0.5 * _Z_MAX)
+    steps = float(_gershgorin(h.to_dia(), [h.m_total + 1])[1][0]) * abs(t) / (0.5 * _Z_MAX)
     # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
     # the bound could exceed the norm-drift tolerance checked below.
     if not steps * _TAIL_TOL <= 1e-6:
@@ -501,12 +506,7 @@ def evolve_exact(h, s0, t):
     amp, bound = s0.amplitudes, s0.error_bound
     for _ in range(steps):
         parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
-        out = []
-        for lo, hi in _stacks([size] * len(parts)):
-            dia, ends = _sector_bands(h.coeffs, [h.m_total] * (hi - lo))
-            s = np.stack((np.empty(ends[-1]), np.concatenate(parts[lo:hi])))
-            out += _propagate_block(dia, ends, s, t / steps)
-            del dia, s  # before the next band is built
+        out = list(propagate(h.coeffs, [h.m_total] * len(parts), t / steps, parts))
         amp = out[0][0] + 1j * out[1][0] if len(out) == 2 else out[0][0]
         bound += sum(tail for _, tail in out)
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)

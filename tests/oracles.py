@@ -4,10 +4,13 @@ The dense two-mode Hamiltonian here is built from raw creation/annihilation
 matrices on a tensor-product Fock space and restricted to the fixed-total
 subspace afterwards.  It shares no code with the banded builder, so matching
 it entry-for-entry checks the operator algebra behind the matrix elements.
-dominant_frequency reads the strongest spectral line of a sampled trace.
+dominant_frequency reads the strongest spectral line of a sampled trace;
+gpe_residual and the distribution moments restate, for the tests, numbers
+the program computes inside its solvers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from bogodense import (
     to_dimensionless,
 )
 from bogodense.errors import InvalidParameterError
+from bogodense.gpe import residual_norm
 
 # Reference trap: rubidium-87 mass, a_sc = 10 nm, nu = 1000 Hz.
 MASS = 1.44e-25
@@ -132,3 +136,25 @@ def dominant_frequency(times, values):
         if denom != 0.0:
             k = k + 0.5 * (a - c) / denom
     return 2.0 * math.pi * k / (n * dt[0])
+
+
+def gpe_residual(gm, dp):
+    """L2 norm of (H[xi0] - mu) xi0 with the discrete operators, at gm.nbar.
+
+    Converged numeric modes sit at the solver tolerance; the Thomas-Fermi
+    profile shows the discretization floor instead.
+    """
+    return residual_norm(replace(dp, nbar=gm.nbar), gm.xi0)
+
+
+def distribution_mean(d):
+    """Mean total number M of a NumberDistribution."""
+    m = np.arange(d.probabilities.size)
+    return float(np.sum(m * d.probabilities))
+
+
+def distribution_variance(d):
+    """Variance of the total number M of a NumberDistribution."""
+    m = np.arange(d.probabilities.size)
+    mu = np.sum(m * d.probabilities)
+    return float(np.sum((m - mu) ** 2 * d.probabilities))

@@ -32,7 +32,13 @@ from bogodense import (
     two_point_distribution,
 )
 
-from oracles import dense_h01_oracle, dominant_frequency, solve_case, synthetic_coeffs
+from oracles import (
+    dense_h01_oracle,
+    distribution_mean,
+    dominant_frequency,
+    solve_case,
+    synthetic_coeffs,
+)
 
 REPORT = []
 
@@ -142,7 +148,7 @@ def test_criterion_4_single_cycle_removal():
     for m in (380, 420):
         law = oscillation_law(co, m)
         after = run_cycle(point_distribution(m, m_max=460), cfg)
-        removal = m - after.mean()
+        removal = m - distribution_mean(after)
         checks.append(
             (f"removal(M={m})/4c2", abs(removal / (4.0 * law.c2) - 1.0), 0.50)
         )

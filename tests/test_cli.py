@@ -468,10 +468,10 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 
 
 def test_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # The package root loads only the numpy-only mean-field modules; the
-    # names of bdg, protocol and twomode load on first use.  So a fresh
-    # `import bogodense`, and a request that stops at the mean-field stages,
-    # never pays for scipy (its ground solve runs gpe._ptsv's Python path).
+    # Every name of the package root loads on first use, and only bdg,
+    # protocol and twomode import scipy.  So a fresh `import bogodense`, and
+    # a request that stops at the mean-field stages, never pays for scipy
+    # (its ground solve runs gpe._ptsv's Python path).
     code = "import sys, bogodense; print([m for m in sys.modules if m.startswith('scipy')])"
     assert _fresh_python("-c", code) == "[]\n"
     for argv in (["ground", "--tf"], ["modes"], ["figure1"]):
@@ -481,14 +481,32 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
         assert out.read_text().startswith("r,xi0")
 
 
+# Prints what `import bogodense` loads, then checks every public name
+# against the root's table: listed, resolved to its home module's object,
+# and bound by a star import.
+_PUBLIC_NAMES = """\
+import importlib, sys
+import bogodense as b
+print([m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy", "bogodense")])
+table = sorted(n for names in b._NAMES.values() for n in names)
+print(b.__all__ == table)
+listed = dir(b)
+print([n for n in b.__all__ if n not in listed])
+print([n for n in b.__all__ if getattr(b, n, None) is None])
+print(hasattr(b, "no_such_name"))
+print([n for m, names in b._NAMES.items() for n in names
+       if getattr(b, n) is not getattr(importlib.import_module(f"bogodense.{m}"), n)])
+star = {}
+exec("from bogodense import *", star)
+print(sorted(set(b.__all__) - set(star)))
+"""
+
+
 def test_public_names_resolve_lazily():
-    code = (
-        "import bogodense as b; listed = dir(b); "
-        "print([n for n in b.__all__ if n not in listed]); "
-        "print([n for n in b.__all__ if getattr(b, n, None) is None]); "
-        "print(hasattr(b, 'no_such_name'))"
-    )
-    assert _fresh_python("-c", code) == "[]\n[]\nFalse\n"
+    # `import bogodense` loads nothing but the package root; each public
+    # name is written once, in the root's table, and loads on first use.
+    out = _fresh_python("-c", _PUBLIC_NAMES)
+    assert out == "['bogodense']\nTrue\n[]\n[]\nFalse\n[]\n[]\n"
 
 
 def test_protocol_names_keep_ground_solves_on_lapack():

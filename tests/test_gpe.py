@@ -14,7 +14,6 @@ from bogodense import (
     RadialField,
     RadialGrid,
     default_grid,
-    gpe_residual,
     integrate,
     solve_gpe,
     thomas_fermi_mode,
@@ -37,7 +36,7 @@ from bogodense.gpe import (
     residual_norm,
 )
 
-from oracles import reference_params
+from oracles import gpe_residual, reference_params
 
 
 def test_free_gas_ground_state():
