@@ -38,8 +38,7 @@ _cap_threads()
 
 # Every public name, under its home module.  Each loads on first use (PEP
 # 562), so `import bogodense` loads neither numpy nor scipy, and a name
-# costs only its own module's imports: a command that stops at the
-# mean-field stages never pays for scipy.
+# costs only its own module's imports: only bdg imports a scipy package.
 _NAMES = {
     "bdg": (
         "Mode1Decomposition", "QuasiparticleSpectrum", "decompose_mode1",

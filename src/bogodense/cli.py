@@ -30,9 +30,9 @@ from .grid import default_grid
 from .modes import build_xi1, coefficients
 from .params import _EIG_LIMIT, HBAR, PhysicalParams, to_dimensionless
 
-# ground, modes and figure1 need numpy alone.  The commands that need the
-# scipy-backed modules (bdg, protocol, twomode) import them first thing, so
-# scipy.linalg is loaded before their ground solve and it runs on LAPACK.
+# Each command imports what it needs (bdg, protocol, twomode) inside its
+# function.  Only bdg imports a scipy package; the ground solve's dptsv
+# comes from scipy's LAPACK extension alone (params._scipy_extension).
 
 # Largest protocol --m-max: the protocol computes no eigensystem, but it
 # iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.

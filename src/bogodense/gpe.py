@@ -15,7 +15,6 @@ stability limit followed by renormalization, and Newton is tried again.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,9 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .grid import RadialField, integrate, laplacian
-from .params import _count, _real
+from .params import _count, _real, _scipy_extension
+
+dptsv = _scipy_extension("scipy.linalg._flapack").dptsv
 
 _METHODS = ("numeric", "thomas_fermi")
 # A ground mode may keep at most this weight in the outer tenth of the
@@ -85,42 +86,15 @@ def residual_norm(dp, xi):
 
 
 def _ptsv(d, e, b):
-    """Solve T x = b for T = tridiag(e, d, e) of order n >= 2, as LAPACK dptsv.
+    """Solve T x = b for T = tridiag(e, d, e) of order n >= 2 by LAPACK dptsv.
 
     Returns (x, info): info = i > 0 when the i-th pivot (1-based) of the
-    LDL^T factorization is not positive, and x is then b unsolved.  Once
-    scipy.linalg is loaded this is dptsv.  Before that, so that a command
-    needing nothing else from scipy never imports it, the same operations
-    run in Python in LAPACK's order: the dpttrf loop, then for each
-    right-hand side dptts2's forward sweep, the division by the last pivot
-    and the back sweep.  Both paths give the same bits, but the Python one
-    is about twenty times slower: 3 ms against 0.13 ms for two right-hand
-    sides at n = 4000 (one core).
+    LDL^T factorization is not positive, and x is then b unsolved.  dptsv
+    comes from scipy's LAPACK extension alone (params._scipy_extension),
+    so a command that needs nothing else from scipy never imports it.
     """
-    if "scipy.linalg" in sys.modules:
-        from scipy.linalg.lapack import dptsv
-
-        _, _, x, info = dptsv(d, e, b)
-        return x, info
-    d, e = d.tolist(), e.tolist()
-    n = len(d)
-    for i in range(n - 1):
-        if d[i] <= 0.0:
-            return b.copy(), i + 1
-        ei = e[i]
-        e[i] = ei / d[i]
-        d[i + 1] = d[i + 1] - e[i] * ei
-    if d[n - 1] <= 0.0:
-        return b.copy(), n
-    columns = []
-    for x in b.reshape(n, -1).T.tolist():
-        for i in range(1, n):
-            x[i] = x[i] - x[i - 1] * e[i - 1]
-        x[n - 1] = x[n - 1] / d[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = x[i] / d[i] - x[i + 1] * e[i]
-        columns.append(x)
-    return np.array(columns).T.reshape(b.shape), 0
+    _, _, x, info = dptsv(d, e, b)
+    return x, info
 
 
 def _unit_w(grid, w):

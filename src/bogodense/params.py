@@ -7,9 +7,13 @@ frequency in Hz).  The interaction strength in these units is
 g = 4 * pi * a_sc / r0.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import operator
+import os
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -22,6 +26,26 @@ HBAR = 1.054571817e-34
 # dynamics trace.  It lives in this scipy-free module so that the CLI's
 # --help need not import twomode.
 _EIG_LIMIT = 4000
+
+
+def _scipy_extension(name):
+    """The compiled scipy module name (say "scipy.linalg._flapack"), loaded
+    from its file without running the __init__ of scipy or its subpackage.
+
+    It is registered under its own name, so a later `import scipy.linalg`
+    reuses it; when scipy loaded it first, scipy's object is returned.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        package = name.rpartition(".")[0].split(".")[1:]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, *package)])
+        if spec is None:
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def _count(value, what, low=-math.inf):

@@ -20,20 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Imported here, not in the functions that call them: once scipy.linalg is
-# loaded, gpe._ptsv runs LAPACK's dptsv instead of its Python LDL^T (about
-# ten times slower).  A protocol at desk sizes calls neither routine, so
-# this import is what keeps its ground solves on LAPACK.
-from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dpbtrf
-
 from .errors import (
+    EigensolverError,
     InapplicableLawError,
     IntegratorFailureError,
     InvalidParameterError,
     UnsupportedRegimeError,
 )
-from .params import _EIG_LIMIT, _count, _real
+from .params import _EIG_LIMIT, _count, _real, _scipy_extension
+
+# The compiled routines this module calls, taken from scipy's extension
+# modules without importing the scipy.linalg and scipy.sparse packages.
+_flapack = _scipy_extension("scipy.linalg._flapack")
+dsbevd, dpbtrf = _flapack.dsbevd, _flapack.dpbtrf
+dia_matvec = _scipy_extension("scipy.sparse._sparsetools").dia_matvec
 
 # mean_n1_trace samples the cached eigensystem up to M = _EIG_LIMIT (see
 # params), on the one window of eigenmodes whose discarded start weight
@@ -126,8 +126,11 @@ class TwoModeHamiltonian:
 
     def eigensystem(self):
         if self._eig is None:
-            band = self.to_dia()[[0, 2, 1]]  # lower band storage
-            object.__setattr__(self, "_eig", eig_banded(band, lower=True))
+            band = self.to_dia()[[0, 2, 1]]  # lower band storage, a fresh copy
+            w, v, info = dsbevd(band, compute_v=1, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise EigensolverError(f"dsbevd failed at M = {self.m_total}: info {info}")
+            object.__setattr__(self, "_eig", (w, v))
         return self._eig
 
 
@@ -390,8 +393,6 @@ def _propagate_block(dia, ends, s, t):
     y += A x on y = S_{k-1} with A = +-2 H_s.  Negating a product or a sum
     rounds to the negated result, so every S_k is s_k T_k to the bit.
     """
-    from scipy.sparse._sparsetools import dia_matvec  # not loaded on import
-
     sizes = np.diff(ends, prepend=0)
     centres, halves = _intervals(dia, ends, t)
     half = float(np.max(halves))
@@ -587,7 +588,7 @@ def mean_n1_trace(h, s0, times):
     next to the window W: roughly more than W/2 to W of them (measured,
     one core: criterion 2's M = 1000, W = 225 traces of 401 and 2048
     samples gain; at M = 4000, W = 1915 a 401-sample trace loses about
-    1 s beside 36 s of eig_banded).  Above _EIG_LIMIT it steps the Chebyshev
+    1 s beside 36 s of dsbevd).  Above _EIG_LIMIT it steps the Chebyshev
     propagator through the sorted times.  As mean_n1_analytic, it returns a
     float for a scalar time and an array of the shape of times otherwise.
     """

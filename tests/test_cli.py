@@ -468,16 +468,17 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 
 
 def test_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # Every name of the package root loads on first use, and only bdg,
-    # protocol and twomode import scipy.  So a fresh `import bogodense`, and
-    # a request that stops at the mean-field stages, never pays for scipy
-    # (its ground solve runs gpe._ptsv's Python path).
+    # Every name of the package root loads on first use.  A fresh `import
+    # bogodense` loads no scipy module, and a request that stops at the
+    # mean-field stages loads scipy's LAPACK extension alone, for its
+    # ground solve's dptsv: no scipy, scipy.linalg or scipy.sparse package.
     code = "import sys, bogodense; print([m for m in sys.modules if m.startswith('scipy')])"
     assert _fresh_python("-c", code) == "[]\n"
     for argv in (["ground", "--tf"], ["modes"], ["figure1"]):
         out = tmp_path / f"{argv[0]}.csv"
         args = [*argv, "--grid-points", "800", "--output", str(out)]
-        assert _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args) == "[]\n", argv
+        loaded = _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args)
+        assert loaded == "['scipy.linalg._flapack']\n", argv
         assert out.read_text().startswith("r,xi0")
 
 
@@ -509,13 +510,34 @@ def test_public_names_resolve_lazily():
     assert out == "['bogodense']\nTrue\n[]\n[]\nFalse\n[]\n[]\n"
 
 
-def test_protocol_names_keep_ground_solves_on_lapack():
-    # gpe._ptsv runs dptsv only once scipy.linalg is loaded.  An in-process
-    # protocol at desk sizes calls no scipy.linalg routine itself, so it is
-    # twomode's import at module top that keeps its ground solves on LAPACK
-    # instead of the Python LDL^T (about ten times slower).
-    code = "import sys, bogodense; bogodense.ProtocolConfig; print('scipy.linalg' in sys.modules)"
+def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
+    # The two-mode stage takes dsbevd, dpbtrf and dia_matvec from scipy's
+    # two extension modules and no scipy package, and every ground solve
+    # runs on the dptsv of the same LAPACK extension.  Only bdg imports a
+    # scipy package, for ARPACK.
+    code = (
+        "import sys, bogodense; bogodense.ProtocolConfig; from bogodense import gpe; "
+        "print(gpe.dptsv is sys.modules['scipy.linalg._flapack'].dptsv)"
+    )
     assert _fresh_python("-c", code) == "True\n"
+    # Whichever of scipy.linalg and twomode loads first, there is one
+    # LAPACK extension object.
+    for first, second in (("scipy.linalg", "bogodense.twomode"), ("bogodense.twomode", "scipy.linalg")):
+        code = (
+            f"import {first}, {second}, scipy.linalg.lapack as lapack, bogodense.twomode as t; "
+            "print(t._flapack is lapack._flapack and t.dsbevd is lapack.dsbevd)"
+        )
+        assert _fresh_python("-c", code) == "True\n", first
+    extensions = "['scipy.linalg._flapack', 'scipy.sparse._sparsetools']\n"
+    desk = (
+        ("dynamics", "--nbar", "100", "--n0", "100"),
+        ("protocol", "--cycles", "200", "--n0", "100", "--nbar", "100"),
+    )
+    for argv in desk:
+        args = [*argv, "--output", str(tmp_path / f"{argv[0]}.csv")]
+        assert _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args) == extensions, argv[0]
+    loaded = _fresh_python("-c", _SCIPY_AFTER_REQUEST, "bdg", "--output", str(tmp_path / "bdg.csv"))
+    assert "'scipy.sparse.linalg'" in loaded
 
 
 # The --help texts of the tree before the CLI's imports became per

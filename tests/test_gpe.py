@@ -1,13 +1,10 @@
 import math
-import struct
-import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dptsv
 
 from bogodense import (
     DimensionlessParams,
@@ -29,7 +26,6 @@ from bogodense.errors import (
 from bogodense.gpe import (
     GroundMode,
     _initial_guess,
-    _ptsv,
     chemical_potential,
     imaginary_time_step,
     newton_step,
@@ -167,51 +163,6 @@ def test_a_converged_state_with_a_node_is_refused(monkeypatch):
     with pytest.raises(ConvergenceError, match="has a node") as err:
         solve_gpe(dp, grid)
     assert err.value.iterations == 1
-
-
-def _spd_system(n, nrhs, bad, seed):
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(n - 1)
-    d = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + rng.random(n) + 0.1
-    if bad is not None:
-        d[bad] = -d[bad]  # that pivot goes non-positive
-    b = rng.standard_normal(n if nrhs is None else (n, nrhs))
-    return d, e, b
-
-
-@pytest.mark.parametrize("bad", ["none", "middle", "last"])
-@pytest.mark.parametrize("nrhs", [None, 2])
-@pytest.mark.parametrize("n", [2, 16, 4000])
-def test_ptsv_python_path_matches_dptsv(monkeypatch, n, nrhs, bad):
-    index = {"none": None, "middle": n // 2, "last": n - 1}[bad]
-    d, e, b = _spd_system(n, nrhs, index, seed=n + 7 * (nrhs or 1))
-    _, _, want, want_info = dptsv(d, e, b)
-    assert want_info == (0 if index is None else index + 1)
-    got, info = _ptsv(d, e, b)
-    assert info == want_info and np.array_equal(got, want)
-    monkeypatch.delitem(sys.modules, "scipy.linalg")
-    got, info = _ptsv(d, e, b)
-    assert "scipy.linalg" not in sys.modules  # the Python path ran
-    assert info == want_info
-    assert got.shape == want.shape and np.array_equal(got, want)
-
-
-def _bits(gm):
-    floats = (gm.mu, gm.nbar, gm.residual)
-    return gm.xi0.values.tobytes(), struct.pack("3d", *floats), gm.method, gm.iterations
-
-
-@pytest.mark.parametrize("nbar", [100.0, 1.0e5])
-def test_solve_gpe_bits_do_not_depend_on_the_solver_path(monkeypatch, nbar):
-    # Whichever of LAPACK's dptsv and the Python LDL^T runs (it depends on
-    # whether scipy.linalg was imported first), the goldens see the same mode.
-    dp = to_dimensionless(reference_params(nbar))
-    grid = default_grid(dp)
-    lapack = solve_gpe(dp, grid)
-    monkeypatch.delitem(sys.modules, "scipy.linalg")
-    python = solve_gpe(dp, grid)
-    assert "scipy.linalg" not in sys.modules
-    assert _bits(python) == _bits(lapack)
 
 
 def test_energy_monotone_under_imaginary_time():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 import bogodense.twomode as twomode
 from bogodense import (
@@ -27,6 +28,7 @@ from bogodense import (
     oscillation_law,
 )
 from bogodense.errors import (
+    EigensolverError,
     InapplicableLawError,
     IntegratorFailureError,
     InvalidParameterError,
@@ -739,6 +741,30 @@ def test_window_engages_at_criterion_two_shape(case1000):
     a, b, bound = twomode._trace_window(v[0], np.zeros(1001), 1000)
     assert 0 < b - a <= 1001 // 3
     assert bound <= 1e-12
+
+
+@pytest.mark.parametrize("m_total", [100, 1000])
+def test_eigensystem_is_eig_banded_to_the_byte(case1000, m_total):
+    # eigensystem calls LAPACK's dsbevd with the arguments eig_banded
+    # passes it, so w and v are scipy's to the byte.
+    h = build_h01(case1000["coeffs"], m_total)
+    want = eig_banded(h.to_dia()[[0, 2, 1]], lower=True)
+    assert [a.tobytes() for a in h.eigensystem()] == [a.tobytes() for a in want]
+
+
+def test_eigensolver_failure_is_categorized(monkeypatch):
+    # dsbevd reports an eigensolver that did not converge as info > 0;
+    # eigensystem refuses it and caches nothing.
+    def failed(band, **kwargs):
+        n = band.shape[1]
+        return np.zeros(n), np.zeros((n, n)), 1
+
+    monkeypatch.setattr(twomode, "dsbevd", failed)
+    h = build_h01(GENERIC, 6)
+    with pytest.raises(EigensolverError, match="dsbevd failed at M = 6: info 1") as err:
+        h.eigensystem()
+    assert err.value.category == "eigensolver-failure"
+    assert h._eig is None
 
 
 def test_oscillation_law_formulas(case1000):
