@@ -1,10 +1,15 @@
 import math
+import os
+import struct
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from bogodense import (
     DimensionlessParams,
@@ -26,6 +31,7 @@ from bogodense.errors import (
 from bogodense.gpe import (
     GroundMode,
     _initial_guess,
+    _ptsv,
     chemical_potential,
     imaginary_time_step,
     newton_step,
@@ -163,6 +169,102 @@ def test_a_converged_state_with_a_node_is_refused(monkeypatch):
     with pytest.raises(ConvergenceError, match="has a node") as err:
         solve_gpe(dp, grid)
     assert err.value.iterations == 1
+
+
+def _spd_system(n, nrhs, bad, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n - 1)
+    d = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + rng.random(n) + 0.1
+    if bad is not None:
+        d[bad] = -d[bad]  # that pivot goes non-positive
+    b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+    return d, e, b
+
+
+def _python_ptsv(d, e, b):
+    """dptsv's operations in Python, in LAPACK's order: the dpttrf loop,
+    then for each right-hand side dptts2's forward sweep, the division by
+    the last pivot and the back sweep.  Returns (x, info) as _ptsv does."""
+    d, e = d.tolist(), e.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if d[i] <= 0.0:
+            return b.copy(), i + 1
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    if d[n - 1] <= 0.0:
+        return b.copy(), n
+    columns = []
+    for x in b.reshape(n, -1).T.tolist():
+        for i in range(1, n):
+            x[i] = x[i] - x[i - 1] * e[i - 1]
+        x[n - 1] = x[n - 1] / d[n - 1]
+        for i in range(n - 2, -1, -1):
+            x[i] = x[i] / d[i] - x[i + 1] * e[i]
+        columns.append(x)
+    return np.array(columns).T.reshape(b.shape), 0
+
+
+@pytest.mark.parametrize("bad", ["none", "middle", "last"])
+@pytest.mark.parametrize("nrhs", [None, 2])
+@pytest.mark.parametrize("n", [2, 16, 4000])
+def test_ptsv_python_path_matches_dptsv(monkeypatch, n, nrhs, bad):
+    # _ptsv is scipy's dptsv, loaded without scipy.linalg; an LDL^T written
+    # in Python in LAPACK's order gives the same bits and the same refusal.
+    index = {"none": None, "middle": n // 2, "last": n - 1}[bad]
+    d, e, b = _spd_system(n, nrhs, index, seed=n + 7 * (nrhs or 1))
+    _, _, want, want_info = dptsv(d, e, b)
+    assert want_info == (0 if index is None else index + 1)
+    assert gpe.dptsv is dptsv
+    got, info = _ptsv(d, e, b)
+    assert info == want_info and np.array_equal(got, want)
+    monkeypatch.delitem(sys.modules, "scipy.linalg")
+    got, info = _ptsv(d, e, b)
+    assert "scipy.linalg" not in sys.modules
+    assert info == want_info and np.array_equal(got, want)
+    python, python_info = _python_ptsv(d, e, b)
+    assert python_info == want_info
+    assert python.shape == want.shape and np.array_equal(python, want)
+
+
+def _bits(gm):
+    floats = (gm.mu, gm.nbar, gm.residual)
+    return gm.xi0.values.tobytes(), struct.pack("3d", *floats), gm.method, gm.iterations
+
+
+# Solves the ground mode in a fresh interpreter that loads no scipy package
+# and prints its bits, as hex, and the scipy modules then loaded.
+_FRESH_SOLVE = """\
+import struct, sys
+from bogodense import default_grid, solve_gpe, to_dimensionless
+from oracles import reference_params
+dp = to_dimensionless(reference_params(float(sys.argv[1])))
+gm = solve_gpe(dp, default_grid(dp))
+print(gm.xi0.values.tobytes().hex())
+print(struct.pack("3d", gm.mu, gm.nbar, gm.residual).hex(), gm.method, gm.iterations)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("nbar", [100.0, 1.0e5])
+def test_solve_gpe_bits_do_not_depend_on_the_solver_path(nbar):
+    # The ground solve has one path, dptsv, whether or not scipy.linalg was
+    # imported first: here it was, and a fresh interpreter that loads only
+    # scipy's LAPACK extension gives the goldens the same mode.
+    dp = to_dimensionless(reference_params(nbar))
+    lapack = _bits(solve_gpe(dp, default_grid(dp)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SOLVE, repr(nbar)], env=env, capture_output=True, check=True
+    )
+    values, floats, loaded = proc.stdout.decode().splitlines()
+    assert loaded == "['scipy.linalg._flapack']"
+    floats, method, iterations = floats.split()
+    fresh = (bytes.fromhex(values), bytes.fromhex(floats), method, int(iterations))
+    assert fresh == lapack
 
 
 def test_energy_monotone_under_imaginary_time():
