@@ -10,10 +10,12 @@ reduces, in w = r*f space with s = w_u + w_v and d = w_u - w_v, to
     (A + G)(A - G) s = omega^2 s,
 
 where A - G is the (positive semi-definite) linearized GP operator minus mu
-and G = diag(g*nbar*xi0^2).  The product is a pentadiagonal real matrix; its
-lowest eigenpairs come from shift-invert Arnoldi with a negative shift,
-which keeps the factorized matrix nonsingular and also returns the zero-mode
-(Goldstone) branch so it can be discarded explicitly.
+and G = diag(g*nbar*xi0^2).  Both come from gpe._tridiagonal, the one writer
+of the w-space operator, which the Newton Jacobian also uses.  The product
+is a pentadiagonal real matrix; its lowest eigenpairs come from
+shift-invert Arnoldi with a negative shift, which keeps the factorized
+matrix nonsingular and also returns the zero-mode (Goldstone) branch so it
+can be discarded explicitly.
 
 Physical amplitudes are projected orthogonal to xi0 and normalized to
 integral(U^2 - V^2) = 1.
@@ -27,6 +29,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
 
 from .errors import EigensolverError, InvalidParameterError
+from .gpe import _tridiagonal
 from .grid import RadialField, integrate
 from .params import _count
 
@@ -52,15 +55,10 @@ class QuasiparticleSpectrum:
 
 
 def _operators(gm, dp):
-    grid = gm.xi0.grid
-    h = grid.h
-    kin_diag = np.full(grid.n_points, 1.0 / h**2)
-    off = np.full(grid.n_points - 1, -0.5 / h**2)
-    pot = 0.5 * grid.nodes**2 - gm.mu
+    """A - G and A + G as sparse matrices, from gpe's tridiagonal writer."""
     g_diag = dp.g * gm.nbar * gm.xi0.values**2
-    m_minus = sparse.diags([off, kin_diag + pot + g_diag, off], [-1, 0, 1])
-    m_plus = sparse.diags([off, kin_diag + pot + 3.0 * g_diag, off], [-1, 0, 1])
-    return m_minus.tocsr(), m_plus.tocsr()
+    pair = (_tridiagonal(gm.xi0.grid, c * g_diag, gm.mu) for c in (1.0, 3.0))
+    return tuple(sparse.diags([e, d, e], [-1, 0, 1], format="csr") for d, e in pair)
 
 
 def project_orthogonal(f, gm):

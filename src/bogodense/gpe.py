@@ -102,10 +102,17 @@ def _unit_w(grid, w):
     return w / math.sqrt(4.0 * np.pi * grid.h * np.sum(w**2)) / grid.nodes
 
 
+def _tridiagonal(grid, density, shift=0.0):
+    """(d, e) of tridiag(e, d, e) = -1/2 lap + r^2/2 + density - shift in w-space."""
+    d = 1.0 / grid.h**2 + 0.5 * grid.nodes**2 + density - shift
+    return d, np.full(grid.n_points - 1, -0.5 / grid.h**2)
+
+
 def imaginary_time_step(dp, grid, values, dtau):
     """One backward-Euler imaginary-time step in w-space plus renormalization."""
     r = grid.nodes
     h = grid.h
+    # Not 1 + dtau*d from _tridiagonal: that order moves every golden's bits.
     pot = 0.5 * r**2 + dp.g * dp.nbar * values**2
     d = 1.0 + dtau * (1.0 / h**2 + pot)
     e = np.full(grid.n_points - 1, -dtau / (2.0 * h**2))
@@ -124,11 +131,9 @@ def newton_step(dp, grid, values):
     renormalized.  Returns None when J is not positive definite.
     """
     r = grid.nodes
-    h = grid.h
     hxi, mu = _apply_h(dp, RadialField(grid, values))
     w = r * values
-    d = 1.0 / h**2 + 0.5 * r**2 + 3.0 * dp.g * dp.nbar * values**2 - mu
-    e = np.full(grid.n_points - 1, -0.5 / h**2)
+    d, e = _tridiagonal(grid, 3.0 * dp.g * dp.nbar * values**2, mu)
     ab, info = _ptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
     if info != 0:
         return None
@@ -201,8 +206,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     # residual's norm.  Converged residuals sit at 0.2-0.35 of this floor
     # (nbar = 1 to 1e6, 800 and 4000 points), so a tol below it is reached
     # by chance if at all, and the loop would spend its whole budget.
-    diag = 1.0 / grid.h**2 + 0.5 * grid.nodes**2 + dp.g * dp.nbar * values**2
-    floor = _EPS * float(np.max(diag))
+    floor = _EPS * float(np.max(_tridiagonal(grid, dp.g * dp.nbar * values**2)[0]))
     if tol < floor:
         raise ConvergenceError(
             f"tol {tol:.3e} is below the round-off floor {floor:.3e} of the "

@@ -116,18 +116,15 @@ def gaussian_distribution(mean, sigma, m_max):
     return NumberDistribution(probs / total)
 
 
-def two_point_distribution(m1, m2, m_max=None, weight=0.5):
+def two_point_distribution(m1, m2, m_max=None):
     m1, m2 = _count(m1, "point mass M"), _count(m2, "point mass M")
     m_max = max(m1, m2) if m_max is None else _count(m_max, "m_max")
     for m in (m1, m2):
         if not 0 <= m <= m_max:
             raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
-    weight = _real(weight, "weight", 0.0)
-    if not weight <= 1.0:
-        raise InvalidParameterError(f"weight must be in [0, 1], got {weight}")
     probs = np.zeros(m_max + 1)
-    probs[m1] += weight
-    probs[m2] += 1.0 - weight
+    probs[m1] += 0.5
+    probs[m2] += 0.5
     return NumberDistribution(probs)
 
 

@@ -401,25 +401,33 @@ def test_dynamics_rejects_tiny_step_count(capsys):
             assert captured.err.startswith("error [invalid-parameter]:"), mode
 
 
-def test_output_bytes_independent_of_thread_count():
-    # The exact trace's t = 0 cell used to carry round-off that depended on
-    # the BLAS thread count.
+# Requests whose stdout must not depend on the BLAS thread count: the
+# exact trace's t = 0 cell used to, and bdg is the golden's input.
+_THREAD_CASES = {
+    "dynamics": ["dynamics", "--nbar", "1000", "--n0", "1000", "--grid-points", "1500",
+                 "--steps", "300"],
+    "bdg": ["bdg", "--nbar", "100", "--n0", "100", "--grid-points", "1500"],
+}
+
+
+@pytest.mark.parametrize("name", _THREAD_CASES)
+def test_output_bytes_independent_of_thread_count(name):
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = ["dynamics", "--nbar", "1000", "--n0", "1000", "--grid-points", "1500",
-            "--steps", "300"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["BOGODENSE_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bogodense.cli", *argv],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].split(b"\n")[1] == b"0,0,0"
+    for fmt in ("csv", "json"):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["BOGODENSE_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "bogodense.cli", *_THREAD_CASES[name], "--format", fmt],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], fmt
+        if name == "dynamics" and fmt == "csv":
+            assert outputs[0].split(b"\n")[1] == b"0,0,0"
 
 
 def test_thread_cap_after_numpy_import_warns():

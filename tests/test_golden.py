@@ -32,8 +32,8 @@ GOLDEN = {
     ),
     "bdg": (
         ["bdg", *F],
-        "eb377c27a72748e5613829797e4cb77226e30f4a0fe98e1f4932fb7f0de6dd23",
-        "85b70fb1d935b768c86fde74cbe5c474004b6da7ae6add987a6121272df9a6da",
+        "d6e078396a9c182f0c1b5908928b793ba6778d3249e77547c16077a454e00a51",
+        "ff5ffbce572f2a149cc56bef4eee8ffe2ea40c2436fa728471074c29668881f4",
     ),
     "dynamics": (
         ["dynamics", *F],

@@ -32,6 +32,7 @@ from bogodense.gpe import (
     GroundMode,
     _initial_guess,
     _ptsv,
+    _tridiagonal,
     chemical_potential,
     imaginary_time_step,
     newton_step,
@@ -75,6 +76,27 @@ def test_residual_at_tolerance(fig1):
     assert gpe_residual(gm, dp) <= 1e-8
     # The residual is taken at the mode's own nbar, whatever dp carries.
     assert gpe_residual(gm, replace(dp, nbar=2.0 * dp.nbar)) == gpe_residual(gm, dp)
+
+
+@pytest.mark.parametrize("case", ["case100", "fig1"])
+def test_tridiagonal_writer_is_the_applied_operator(request, case):
+    # The factored operator tridiag(e, d, e) = H[xi0] - mu, applied to
+    # w = r*xi0, is r*(H[xi0] - mu)xi0 as _apply_h evaluates it, to
+    # round-off in units of max|d|*max|w|; so it is also the A - G of bdg,
+    # which annihilates the ground mode up to the GPE residual.
+    dp, grid, gm = (request.getfixturevalue(case)[k] for k in ("dp", "grid", "gm"))
+    xi0, r = gm.xi0.values, grid.nodes
+    w = r * xi0
+    d, e = _tridiagonal(grid, dp.g * gm.nbar * xi0**2, gm.mu)
+    tw = d * w
+    tw[:-1] += e * w[1:]
+    tw[1:] += e * w[:-1]
+    hxi, mu = gpe._apply_h(dp, gm.xi0)
+    assert mu == gm.mu
+    ulp = np.finfo(float).eps * np.max(np.abs(d))
+    assert np.max(np.abs(tw - r * (hxi - mu * xi0))) <= 4.0 * ulp * np.max(w)
+    res = math.sqrt(integrate(RadialField(grid, (tw / r) ** 2)))
+    assert res <= gm.residual + ulp
 
 
 def test_residual_discretization_floor():
@@ -159,10 +181,8 @@ def test_a_converged_state_with_a_node_is_refused(monkeypatch):
     # clamp must refuse it instead of clamping it into a wrong mode.
     dp = to_dimensionless(reference_params(100.0, a_sc=0.0))
     grid = default_grid(dp, n_points=500)
-    r, h = grid.nodes, grid.h
-    diag, off = 1.0 / h**2 + 0.5 * r**2, np.full(grid.n_points - 1, -0.5 / h**2)
-    _, w = eigh_tridiagonal(diag, off, select="i", select_range=(1, 1))
-    excited = w[:, 0] / r
+    _, w = eigh_tridiagonal(*_tridiagonal(grid, 0.0), select="i", select_range=(1, 1))
+    excited = w[:, 0] / grid.nodes
     excited /= math.sqrt(integrate(RadialField(grid, excited**2)))
     assert residual_norm(dp, RadialField(grid, excited)) < 1e-8
     monkeypatch.setattr(gpe, "newton_step", lambda *args: excited)
@@ -265,6 +285,29 @@ def test_solve_gpe_bits_do_not_depend_on_the_solver_path(nbar):
     floats, method, iterations = floats.split()
     fresh = (bytes.fromhex(values), bytes.fromhex(floats), method, int(iterations))
     assert fresh == lapack
+
+
+# Loads gpe before scipy.linalg, then reaches LAPACK through scipy.
+_GPE_THEN_SCIPY = """\
+import sys
+from bogodense import gpe
+import scipy.linalg
+from scipy.linalg import _flapack
+print(_flapack is sys.modules["scipy.linalg._flapack"])
+print(scipy.linalg.lapack.get_lapack_funcs(("ptsv",), dtype=float)[0] is gpe.dptsv)
+"""
+
+
+def test_scipy_linalg_after_gpe_reuses_its_lapack_module():
+    # gpe registers _flapack before scipy.linalg runs its __init__, which
+    # then leaves the package attribute unset; the import statement and
+    # scipy's own LAPACK lookup still reach the one module gpe loaded.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests), "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GPE_THEN_SCIPY], env=env, capture_output=True, check=True
+    )
+    assert proc.stdout.decode().split() == ["True", "True"]
 
 
 def test_energy_monotone_under_imaginary_time():

@@ -219,8 +219,6 @@ REALS = {
     "tol": (lambda c, x: solve_gpe(c["dp"], c["grid"], tol=x).xi0.values, 1e-8, 0.0),
     "mean": (lambda c, x: gaussian_distribution(x, 2.0, 20).probabilities, 10.0, None),
     "sigma": (lambda c, x: gaussian_distribution(10.0, x, 20).probabilities, 2.0, 0.0),
-    "weight": (lambda c, x: two_point_distribution(1, 2, weight=x).probabilities, 0.25,
-               _BELOW_ZERO),
     "t": (lambda c, x: evolve_exact(build_h01(synthetic_coeffs(gamma=0.3, g01=0.2), 8),
                                     fock_state(8), x).amplitudes, 0.5, None),
 }

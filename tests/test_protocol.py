@@ -67,11 +67,11 @@ def test_tiny_gaussian_is_the_point_mass_without_warnings():
 
 
 def test_two_point_distribution():
-    d = two_point_distribution(80, 120, weight=0.25)
+    d = two_point_distribution(80, 120)
     assert d.m_max == 120
-    assert d.probabilities[80] == 0.25
-    assert d.probabilities[120] == 0.75
-    assert distribution_mean(d) == pytest.approx(0.25 * 80 + 0.75 * 120)
+    assert d.probabilities[80] == 0.5
+    assert d.probabilities[120] == 0.5
+    assert distribution_mean(d) == pytest.approx(0.5 * 80 + 0.5 * 120)
 
 
 def test_distribution_band_statistics():
@@ -98,8 +98,6 @@ def test_distribution_validation():
         gaussian_distribution(50.0, -1.0, m_max=100)
     with pytest.raises(InvalidParameterError):
         gaussian_distribution(-500.0, 0.1, m_max=10)  # no mass on the lattice
-    with pytest.raises(InvalidParameterError):
-        two_point_distribution(10, 20, weight=1.5)
     # Both atom numbers must index the support 0..m_max.
     with pytest.raises(InvalidParameterError, match="120 outside 0..100"):
         two_point_distribution(80, 120, m_max=100)
@@ -274,7 +272,7 @@ def test_cycle_conserves_probability(cfg100):
 def test_cycle_is_linear_in_the_distribution(cfg100):
     d1 = point_distribution(90, m_max=115)
     d2 = point_distribution(110, m_max=115)
-    mix = two_point_distribution(90, 110, m_max=115, weight=0.3)
+    mix = NumberDistribution(0.3 * d1.probabilities + 0.7 * d2.probabilities)
     expect = 0.3 * run_cycle(d1, cfg100).probabilities
     expect = expect + 0.7 * run_cycle(d2, cfg100).probabilities
     got = run_cycle(mix, cfg100).probabilities
