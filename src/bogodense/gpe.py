@@ -29,6 +29,10 @@ from .errors import (
 from .grid import RadialField, integrate, laplacian
 from .params import _count, _real, _scipy_extension
 
+# LAPACK's dptsv solves tridiag(e, d, e) x = b by LDL^T; info = i > 0 when
+# the i-th pivot is not positive.  It is loaded from scipy's LAPACK
+# extension alone, so a command that needs nothing else from scipy never
+# imports it.
 dptsv = _scipy_extension("scipy.linalg._flapack").dptsv
 
 _METHODS = ("numeric", "thomas_fermi")
@@ -85,18 +89,6 @@ def residual_norm(dp, xi):
     return math.sqrt(integrate(RadialField(xi.grid, res * res)))
 
 
-def _ptsv(d, e, b):
-    """Solve T x = b for T = tridiag(e, d, e) of order n >= 2 by LAPACK dptsv.
-
-    Returns (x, info): info = i > 0 when the i-th pivot (1-based) of the
-    LDL^T factorization is not positive, and x is then b unsolved.  dptsv
-    comes from scipy's LAPACK extension alone (params._scipy_extension),
-    so a command that needs nothing else from scipy never imports it.
-    """
-    _, _, x, info = dptsv(d, e, b)
-    return x, info
-
-
 def _unit_w(grid, w):
     """xi = w/r with w scaled to unit norm 4*pi*h*sum(w^2)."""
     return w / math.sqrt(4.0 * np.pi * grid.h * np.sum(w**2)) / grid.nodes
@@ -116,7 +108,7 @@ def imaginary_time_step(dp, grid, values, dtau):
     pot = 0.5 * r**2 + dp.g * dp.nbar * values**2
     d = 1.0 + dtau * (1.0 / h**2 + pot)
     e = np.full(grid.n_points - 1, -dtau / (2.0 * h**2))
-    w, info = _ptsv(d, e, r * values)
+    _, _, w, info = dptsv(d, e, r * values)
     if info != 0:
         raise IntegratorFailureError(f"imaginary-time solve failed: dptsv info {info}")
     return _unit_w(grid, w)
@@ -134,7 +126,7 @@ def newton_step(dp, grid, values):
     hxi, mu = _apply_h(dp, RadialField(grid, values))
     w = r * values
     d, e = _tridiagonal(grid, 3.0 * dp.g * dp.nbar * values**2, mu)
-    ab, info = _ptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
+    _, _, ab, info = dptsv(d, e, np.column_stack((r * (hxi - mu * values), w)))
     if info != 0:
         return None
     a, b = ab[:, 0], ab[:, 1]
@@ -248,9 +240,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
         )
     values = np.maximum(values, 0.0)
     outer = grid.nodes > 0.9 * grid.r_max
-    wall_weight = 4.0 * np.pi * grid.h * float(
-        np.sum(grid.nodes[outer] ** 2 * values[outer] ** 2)
-    )
+    wall_weight = integrate(RadialField(grid, np.where(outer, values**2, 0.0)))
     if wall_weight > _WALL_WEIGHT_TOL:
         raise TruncationOverflowError(
             f"the mode keeps {wall_weight:.3g} of its weight beyond "

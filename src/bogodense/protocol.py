@@ -35,14 +35,16 @@ from .twomode import oscillation_law, propagate
 # statistics are row-wise sums over one (_BLOCK, m_max + 1) array, so the
 # buffer's size does not depend on the number of cycles.
 _BLOCK = 16
+# A probability vector may dip below zero by _SIGN_TOL and miss unit mass by _MASS_TOL.
+_SIGN_TOL, _MASS_TOL = 1e-12, 1e-9
 
 
 def _certify(probs, where="probabilities"):
-    """Raise unless probs is non-negative (to 1e-12) and sums to 1 (to 1e-9)."""
-    if not np.min(probs) >= -1e-12:
+    """Raise unless probs is non-negative and sums to 1, to _SIGN_TOL and _MASS_TOL."""
+    if not np.min(probs) >= -_SIGN_TOL:
         raise InvalidParameterError(f"{where} must be non-negative")
     total = float(np.sum(probs))
-    if not abs(total - 1.0) <= 1e-9:
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise InvalidParameterError(f"{where} sum to {total!r}, expected 1")
 
 
@@ -93,13 +95,8 @@ class NumberDistribution:
 
 
 def point_distribution(m, m_max=None):
-    m = _count(m, "point mass M", 0)
-    m_max = m if m_max is None else _count(m_max, "m_max", 0)
-    if m > m_max:
-        raise InvalidParameterError(f"point mass at {m} outside 0..{m_max}")
-    probs = np.zeros(m_max + 1)
-    probs[m] = 1.0
-    return NumberDistribution(probs)
+    """The point mass at M: the two-point mass with both points at M."""
+    return two_point_distribution(m, m, m_max)
 
 
 def gaussian_distribution(mean, sigma, m_max):
@@ -239,7 +236,7 @@ def _tally(rows, first, kept, gone, stats):
     """
     means, variances, retained, lost = stats
     totals = rows.sum(axis=1)
-    sound = (rows.min(axis=1) >= -1e-12) & (np.abs(totals - 1.0) <= 1e-9)
+    sound = (rows.min(axis=1) >= -_SIGN_TOL) & (np.abs(totals - 1.0) <= _MASS_TOL)
     for i in np.flatnonzero(~sound):
         if first + i > 0:
             _certify(rows[i], f"cycle {first + i}: probabilities")

@@ -136,20 +136,21 @@ class TwoModeHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class TwoModeState:
-    m_total: int
+    """A unit state on |M - n, n>, n = 0..M: its M + 1 amplitudes fix M."""
+
     amplitudes: np.ndarray
     error_bound: float = 0.0  # bound on the propagation error in the 2-norm
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.m_total + 1,):
-            raise InvalidParameterError(
-                f"state needs {self.m_total + 1} amplitudes, got {amp.shape}"
-            )
+        if amp.ndim != 1 or amp.size < 1:
+            raise InvalidParameterError(f"amplitudes must be a 1-d array, got {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
         if not abs(norm - 1.0) <= 1e-6:
             raise InvalidParameterError(f"state norm^2 = {norm!r}, expected 1")
         object.__setattr__(self, "amplitudes", amp)
+
+    m_total = property(lambda self: self.amplitudes.size - 1)
 
 
 def fock_state(m_total, n1=0):
@@ -158,7 +159,7 @@ def fock_state(m_total, n1=0):
         raise InvalidParameterError(f"n1 = {n1} outside 0..{m_total}")
     amp = np.zeros(m_total + 1, dtype=complex)
     amp[n1] = 1.0
-    return TwoModeState(m_total=m_total, amplitudes=amp)
+    return TwoModeState(amp)
 
 
 def _sector_bands(coeffs, ms):
@@ -513,7 +514,7 @@ def evolve_exact(h, s0, t):
     drift = abs(math.sqrt(float(np.sum(np.abs(amp) ** 2))) - 1.0)
     if not drift <= 1e-6:
         raise IntegratorFailureError(f"norm drift {drift:.3e} exceeds 1e-6")
-    return TwoModeState(m_total=h.m_total, amplitudes=amp, error_bound=bound)
+    return TwoModeState(amp, error_bound=bound)
 
 
 def mean_n1(s):

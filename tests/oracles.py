@@ -4,6 +4,7 @@ The dense two-mode Hamiltonian here is built from raw creation/annihilation
 matrices on a tensor-product Fock space and restricted to the fixed-total
 subspace afterwards.  It shares no code with the banded builder, so matching
 it entry-for-entry checks the operator algebra behind the matrix elements.
+spectrum_oracle takes a Hamiltonian's spectrum to 40 digits with mpmath;
 dominant_frequency reads the strongest spectral line of a sampled trace;
 gpe_residual and the distribution moments restate, for the tests, numbers
 the program computes inside its solvers.
@@ -12,6 +13,7 @@ the program computes inside its solvers.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from bogodense import (
@@ -111,6 +113,17 @@ def dense_h01_oracle(coeffs, m_total):
     # |m0, m1> lives at flat index m0 * dim + m1.
     idx = [(m_total - n) * dim + n for n in range(m_total + 1)]
     return h[np.ix_(idx, idx)]
+
+
+def spectrum_oracle(h):
+    """The eigenvalues of h.to_dense() to 40 digits, ascending (mpmath.eigsy).
+
+    The double matrix elements are taken as exact, so this is the spectrum
+    that any interval certified for them must hold.
+    """
+    with mpmath.workdps(40):
+        w = mpmath.eigsy(mpmath.matrix(h.to_dense()), eigvals_only=True)
+        return sorted(w)
 
 
 def dominant_frequency(times, values):

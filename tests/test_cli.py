@@ -401,12 +401,17 @@ def test_dynamics_rejects_tiny_step_count(capsys):
             assert captured.err.startswith("error [invalid-parameter]:"), mode
 
 
-# Requests whose stdout must not depend on the BLAS thread count: the
-# exact trace's t = 0 cell used to, and bdg is the golden's input.
+# Requests whose stdout must not depend on the BLAS thread count, as the
+# --help epilog promises for every output: the exact trace's t = 0 cell
+# used to, bdg and the twopoint protocol are golden inputs, and the
+# protocol at n0 = 300 starts from the default gaussian.
 _THREAD_CASES = {
     "dynamics": ["dynamics", "--nbar", "1000", "--n0", "1000", "--grid-points", "1500",
                  "--steps", "300"],
     "bdg": ["bdg", "--nbar", "100", "--n0", "100", "--grid-points", "1500"],
+    "protocol": ["protocol", "--nbar", "100", "--n0", "100", "--grid-points", "1500",
+                 "--init", "twopoint:80,120"],
+    "protocol-300": ["protocol", "--nbar", "300", "--n0", "300", "--grid-points", "1500"],
 }
 
 

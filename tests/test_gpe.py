@@ -31,7 +31,6 @@ from bogodense.errors import (
 from bogodense.gpe import (
     GroundMode,
     _initial_guess,
-    _ptsv,
     _tridiagonal,
     chemical_potential,
     imaginary_time_step,
@@ -204,7 +203,7 @@ def _spd_system(n, nrhs, bad, seed):
 def _python_ptsv(d, e, b):
     """dptsv's operations in Python, in LAPACK's order: the dpttrf loop,
     then for each right-hand side dptts2's forward sweep, the division by
-    the last pivot and the back sweep.  Returns (x, info) as _ptsv does."""
+    the last pivot and the back sweep.  Returns dptsv's (x, info)."""
     d, e = d.tolist(), e.tolist()
     n = len(d)
     for i in range(n - 1):
@@ -230,17 +229,17 @@ def _python_ptsv(d, e, b):
 @pytest.mark.parametrize("nrhs", [None, 2])
 @pytest.mark.parametrize("n", [2, 16, 4000])
 def test_ptsv_python_path_matches_dptsv(monkeypatch, n, nrhs, bad):
-    # _ptsv is scipy's dptsv, loaded without scipy.linalg; an LDL^T written
+    # gpe.dptsv is scipy's dptsv, loaded without scipy.linalg; an LDL^T written
     # in Python in LAPACK's order gives the same bits and the same refusal.
     index = {"none": None, "middle": n // 2, "last": n - 1}[bad]
     d, e, b = _spd_system(n, nrhs, index, seed=n + 7 * (nrhs or 1))
     _, _, want, want_info = dptsv(d, e, b)
     assert want_info == (0 if index is None else index + 1)
     assert gpe.dptsv is dptsv
-    got, info = _ptsv(d, e, b)
+    _, _, got, info = gpe.dptsv(d, e, b)
     assert info == want_info and np.array_equal(got, want)
     monkeypatch.delitem(sys.modules, "scipy.linalg")
-    got, info = _ptsv(d, e, b)
+    _, _, got, info = gpe.dptsv(d, e, b)
     assert "scipy.linalg" not in sys.modules
     assert info == want_info and np.array_equal(got, want)
     python, python_info = _python_ptsv(d, e, b)

@@ -48,6 +48,8 @@ def test_point_distribution():
     padded = point_distribution(7, m_max=20)
     assert padded.m_max == 20
     assert padded.support_max == 7
+    # A point mass is the two-point mass with both points at M, to the bit.
+    assert np.array_equal(padded.probabilities, two_point_distribution(7, 7, 20).probabilities)
 
 
 def test_gaussian_distribution_moments():

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ from bogodense.errors import (
     UnsupportedRegimeError,
 )
 
-from oracles import dense_h01_oracle, dominant_frequency, synthetic_coeffs
+from oracles import dense_h01_oracle, dominant_frequency, spectrum_oracle, synthetic_coeffs
 
 
 GENERIC = synthetic_coeffs(
@@ -109,14 +110,20 @@ def test_three_level_closed_form():
 
 
 def test_state_validation():
+    # M is the amplitude count less one, so only the array's shape, its
+    # values and its norm can be wrong.
     with pytest.raises(InvalidParameterError):
-        TwoModeState(m_total=2, amplitudes=np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(InvalidParameterError):
-        TwoModeState(m_total=3, amplitudes=np.array([1.0, 0.0, 0.0]))
+        TwoModeState(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(InvalidParameterError):
         fock_state(4, n1=5)
     with pytest.raises(InvalidParameterError):
-        TwoModeState(m_total=1, amplitudes=np.array([np.nan, 1.0]))
+        TwoModeState(np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidParameterError):
+        TwoModeState(np.eye(2))
+    with pytest.raises(InvalidParameterError):
+        TwoModeState(np.array([]))
+    assert TwoModeState(np.array([0.0, 1.0, 0.0])).m_total == 2
+    assert [f.name for f in fields(TwoModeState)] == ["amplitudes", "error_bound"]
 
 
 @pytest.mark.parametrize(
@@ -167,7 +174,7 @@ def test_hamiltonian_is_a_checked_frozen_value():
 def test_mean_n1_reference_states():
     assert mean_n1(fock_state(5, 0)) == 0.0
     assert mean_n1(fock_state(5, 1)) == 1.0
-    uniform = TwoModeState(5, np.full(6, 1.0 / math.sqrt(6.0), dtype=complex))
+    uniform = TwoModeState(np.full(6, 1.0 / math.sqrt(6.0), dtype=complex))
     assert mean_n1(uniform) == pytest.approx(2.5)
 
 
@@ -192,7 +199,7 @@ def test_diagonal_hamiltonian_preserves_occupations():
     assert np.max(np.abs(h.off1)) == 0.0
     amps = np.arange(1.0, 8.0) + 0.0j
     amps /= math.sqrt(np.sum(np.abs(amps) ** 2))
-    s = TwoModeState(6, amps)
+    s = TwoModeState(amps)
     out = evolve_exact(h, s, 3.7)
     assert np.abs(out.amplitudes) == pytest.approx(np.abs(amps), abs=1e-12)
 
@@ -317,7 +324,7 @@ def test_chebyshev_matches_dense_eigh(
         w, v = np.linalg.eigh(h.to_dense())
         return v @ (np.exp(-1j * w * t) * (v.T @ x))
 
-    got = evolve_exact(h, TwoModeState(m, amp), t).amplitudes
+    got = evolve_exact(h, TwoModeState(amp), t).amplitudes
     assert np.max(np.abs(got - dense(h, amp))) < 1e-10
     # A sector no larger than h stacked after it runs on its own centre
     # under the stack's widest half-width.
@@ -351,6 +358,19 @@ def test_bessel_series_rescales_at_tiny_z(z, terms):
     assert tail == pytest.approx(2.0 * (z / 2.0) ** terms / math.factorial(terms), rel=1e-7)
 
 
+@pytest.mark.parametrize("z", [1e-7, 0.5, 7.3, 120.0])
+def test_bessel_series_matches_40_digit_besselj(z):
+    # Every J_k the series returns is within 1e-15 of mpmath's, and its
+    # tail is 2*sum_{k>=K} |J_k| to 1 %, summed over the next 40 orders.
+    j, tail = twomode._bessel_series(z)
+    with mpmath.workdps(40):
+        want = [mpmath.besselj(k, z) for k in range(j.size + 40)]
+        errors = [abs(mpmath.mpf(float(got)) - ref) for got, ref in zip(j, want)]
+        want_tail = 2 * mpmath.fsum(abs(ref) for ref in want[j.size :])
+    assert max(errors) <= 1e-15
+    assert abs(tail - want_tail) <= 0.01 * want_tail
+
+
 def test_long_times_run_in_steps(monkeypatch):
     # A series holds about z = half-width * |t| coefficients: past _Z_MAX
     # one series is refused, and evolve_exact splits its time instead.
@@ -362,7 +382,7 @@ def test_long_times_run_in_steps(monkeypatch):
     monkeypatch.setattr(twomode, "_Z_MAX", 400.0)
     with pytest.raises(UnsupportedRegimeError):
         twomode._propagate_block(h.to_dia(), [31], np.stack((amp.real, amp.real)), t)
-    got = evolve_exact(h, TwoModeState(30, amp), t)
+    got = evolve_exact(h, TwoModeState(amp), t)
     assert np.max(np.abs(got.amplitudes - want)) < 1e-10
 
 
@@ -456,7 +476,7 @@ def test_complex_start_bytes_pinned(monkeypatch):
     n = np.arange(301.0)
     amp = np.exp(0.37j * n - ((n - 40.0) / 15.0) ** 2)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)))
-    s = evolve_exact(build_h01(co, 300), TwoModeState(300, amp), t)
+    s = evolve_exact(build_h01(co, 300), TwoModeState(amp), t)
     assert stacks == [[301, 602]]
     assert hashlib.sha256(s.amplitudes.tobytes()).hexdigest() == (
         "29692ac12cc9625726c8919cf3ca77881fa2acbd0bf0535185a4a6103a1cd349"
@@ -532,6 +552,19 @@ def test_certified_interval_holds_the_spectrum(m, gamma, mu, mu1, g01, alpha2, n
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
     h = build_h01(co, m)
     _check_interval(h, twomode._certified(h.to_dia()))
+
+
+@pytest.mark.parametrize("m", [30, 60])
+def test_certified_interval_holds_the_40_digit_spectrum(m):
+    # The certified ends hold the 40-digit spectrum of the double matrix
+    # elements with no allowance for round-off (end margins 0.02-0.29).
+    co = synthetic_coeffs(gamma=0.3, mu=1.0, mu1=2.0, g01=0.04, alpha2=0.3, nbar=20.0)
+    h = build_h01(co, m)
+    centre, half = twomode._certified(h.to_dia())
+    w = spectrum_oracle(h)
+    with mpmath.workdps(40):
+        assert mpmath.mpf(centre) - mpmath.mpf(half) <= w[0]
+        assert w[-1] <= mpmath.mpf(centre) + mpmath.mpf(half)
 
 
 def _record_dpbtrf(monkeypatch):
@@ -720,7 +753,7 @@ def test_windowed_trace_matches_dense_eigh(
     c = v.T @ amp
     n = np.arange(m + 1.0)
     want = [n @ np.abs(v @ (np.exp(-1j * w * t) * c)) ** 2 for t in times]
-    got = mean_n1_trace(h, TwoModeState(m, amp), times)
+    got = mean_n1_trace(h, TwoModeState(amp), times)
     assert np.max(np.abs(got - want)) <= 1e-12 + 1e-14 * m
     # The discarded weight is summed from the two ends of the cached
     # eigensystem's coefficients, and its bound on <n1> holds.
