@@ -38,7 +38,8 @@ _cap_threads()
 
 # Every public name, under its home module.  Each loads on first use (PEP
 # 562), so `import bogodense` loads neither numpy nor scipy, and a name
-# costs only its own module's imports: only bdg imports a scipy package.
+# costs only its own module's imports: no module imports a scipy package,
+# only scipy's compiled LAPACK and DIA extensions.
 _NAMES = {
     "bdg": (
         "Mode1Decomposition", "QuasiparticleSpectrum", "decompose_mode1",

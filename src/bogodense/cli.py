@@ -31,8 +31,8 @@ from .modes import build_xi1, coefficients
 from .params import _EIG_LIMIT, HBAR, PhysicalParams, to_dimensionless
 
 # Each command imports what it needs (bdg, protocol, twomode) inside its
-# function.  Only bdg imports a scipy package; the ground solve's dptsv
-# comes from scipy's LAPACK extension alone (params._scipy_extension).
+# function.  No command imports a scipy package: every LAPACK routine comes
+# from scipy's LAPACK extension alone (params._scipy_extension).
 
 # Largest protocol --m-max: the protocol computes no eigensystem, but it
 # iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.
@@ -61,8 +61,8 @@ config file (--config PATH):
 
 environment:
   BOGODENSE_THREADS caps BLAS/OpenMP parallelism (set before launch);
-  parallelism never changes stdout or the --output CSV/JSON bytes, but the
-  bdg --dump-modes profiles may differ in their last digit.
+  parallelism never changes stdout, the --output CSV/JSON or the bdg
+  --dump-modes bytes.
 """.format(
     config=textwrap.fill(
         f"flat `key = value` lines with # comments; keys are {', '.join(_PHYSICAL)}."
@@ -357,6 +357,7 @@ def _cmd_bdg(cfg):
         "p": list(decomp.p),
         "q": list(decomp.q),
         "residual": decomp.residual,
+        "eigen_residual": max(m.residual for m in spectrum.modes),
         "c_const": spectrum.c_const * es,
     }
     _deliver(cfg, header, columns, summary)

@@ -1,10 +1,9 @@
-"""Quasiparticle spectrum tests: sparse solver, mode structure, decomposition."""
+"""Quasiparticle spectrum tests: banded solver, mode structure, decomposition."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from bogodense import (
     EigensolverError,
@@ -19,7 +18,7 @@ from bogodense import (
     thomas_fermi_mode,
     to_dimensionless,
 )
-from bogodense.bdg import OMEGA_TOL, _operators
+from bogodense.bdg import EIGEN_RESIDUAL_TOL, OMEGA_TOL, _band_mul, _operators
 
 from oracles import reference_params, solve_case
 
@@ -88,18 +87,56 @@ def test_frequencies_stable_under_grid_refinement(fig1_spec):
     assert np.all(np.abs(spec2.frequencies / om_ref - 1.0) < 1e-3)
 
 
-def test_sparse_solver_matches_dense_eigenproblem():
-    # Coarse grid, so the full 2n x 2n non-symmetric eigenproblem is cheap.
+@pytest.fixture(scope="module")
+def coarse():
+    """nbar = 1e4 on 360 points, where dense 2n x 2n eigensolves are cheap."""
     dp, grid, gm, _, _ = solve_case(1.0e4, n_points=360)
-    m_minus, m_plus = _operators(gm, dp)
-    L = 0.5 * (m_minus + m_plus).toarray()
-    G = 0.5 * (m_plus - m_minus).toarray()
-    big = np.block([[L, -G], [G, -L]])
+    minus, plus = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in _operators(gm, dp))
+    return {"spec": solve_bdg(gm, dp, num_modes=4), "minus": minus, "plus": plus}
+
+
+def _dense_frequencies(big, count):
     vals = np.linalg.eigvals(big)
     keep = (np.abs(vals.imag) < 1e-8) & (vals.real > OMEGA_TOL)
-    dense = np.sort(vals.real[keep])[:4]
-    spec = solve_bdg(gm, dp, num_modes=4)
-    assert np.all(np.abs(spec.frequencies / dense - 1.0) < 1e-8)
+    return np.sort(vals.real[keep])[:count]
+
+
+def test_sparse_solver_matches_dense_eigenproblem(coarse):
+    # The full non-symmetric eigenproblem in (u, v) form.
+    L = 0.5 * (coarse["minus"] + coarse["plus"])
+    G = 0.5 * (coarse["plus"] - coarse["minus"])
+    dense = _dense_frequencies(np.block([[L, -G], [G, -L]]), 4)
+    assert np.all(np.abs(coarse["spec"].frequencies / dense - 1.0) < 1e-8)
+
+
+def test_frequencies_match_dense_first_order_system(coarse):
+    # [[0, A+G], [A-G, 0]] acting on (s, d) = (w_u + w_v, w_u - w_v).
+    zero = np.zeros_like(coarse["plus"])
+    big = np.block([[zero, coarse["plus"]], [coarse["minus"], zero]])
+    dense = _dense_frequencies(big, 4)
+    assert np.all(np.abs(coarse["spec"].frequencies / dense - 1.0) < 1e-10)
+
+
+def test_printed_modes_satisfy_first_order_system(fig1_spec):
+    # Each mode's reported residual is within the tolerance, and the printed
+    # (u, v, omega) solve the first-order system projected orthogonal to
+    # the ground mode (Castin & Dum) to the same tolerance.
+    gm, dp, grid = fig1_spec["gm"], fig1_spec["dp"], fig1_spec["grid"]
+    minus, plus = _operators(gm, dp)
+    r = grid.nodes
+    w0 = r * gm.xi0.values / np.linalg.norm(r * gm.xi0.values)
+
+    def proj(x):
+        return x - (w0 @ x) * w0
+
+    for mode in fig1_spec["spec"].modes:
+        assert 0.0 <= mode.residual <= EIGEN_RESIDUAL_TOL
+        s = r * (mode.u.values + mode.v.values)
+        d = r * (mode.u.values - mode.v.values)
+        rs = proj(_band_mul(plus, proj(d))) - mode.omega * s
+        rd = proj(_band_mul(minus, proj(s))) - mode.omega * d
+        rel = math.sqrt((rs @ rs + rd @ rd) / (s @ s + d @ d)) / mode.omega
+        assert rel <= EIGEN_RESIDUAL_TOL
 
 
 def test_free_gas_limit():
@@ -189,21 +226,23 @@ def test_rejects_bad_mode_count(fig1):
         solve_bdg(fig1["gm"], fig1["dp"], num_modes=0)
 
 
-def _no_convergence(a, k, **kwargs):
-    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
-
-
-def _complex_pairs(a, k, **kwargs):
-    # Eigenvalues whose imaginary parts match their real parts.
-    return np.full(k, 2.0 + 2.0j), np.ones((a.shape[0], k), dtype=complex)
+def _indefinite(d, e):
+    # dpttrf's answer when the fifth pivot of A + G is not positive.
+    return d, e, 5
 
 
 @pytest.mark.parametrize(
-    "fake, message",
-    [(_no_convergence, "Arnoldi iteration failed"), (_complex_pairs, "eigenvalues are not real")],
+    "name, value, message",
+    [
+        ("_MAX_SWEEPS", 1, "subspace iteration did not converge in 1 sweeps"),
+        # Unrefined subspace vectors keep residuals far above the tolerance.
+        ("_REFINE_STEPS", 0, "relative residual"),
+        ("dpttrf", _indefinite, "A \\+ G is not positive definite \\(dpttrf info 5\\)"),
+    ],
+    ids=["sweep-cap", "residual", "dpttrf"],
 )
-def test_unreliable_arnoldi_solve_refused(fig1, monkeypatch, fake, message):
-    monkeypatch.setattr("bogodense.bdg.eigs", fake)
+def test_unreliable_eigensolve_refused(fig1, monkeypatch, name, value, message):
+    monkeypatch.setattr(f"bogodense.bdg.{name}", value)
     with pytest.raises(EigensolverError, match=message) as err:
         solve_bdg(fig1["gm"], fig1["dp"], num_modes=2)
     assert err.value.category == "eigensolver-failure"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import bogodense.errors as errors
 from bogodense import HBAR, ConfigError
+from bogodense.bdg import EIGEN_RESIDUAL_TOL
 from bogodense.cli import _PHYSICAL, main, parse_config
 
 FAST = ["--nbar", "100", "--n0", "100", "--grid-points", "800"]
@@ -401,14 +402,17 @@ def test_dynamics_rejects_tiny_step_count(capsys):
             assert captured.err.startswith("error [invalid-parameter]:"), mode
 
 
-# Requests whose stdout must not depend on the BLAS thread count, as the
-# --help epilog promises for every output: the exact trace's t = 0 cell
-# used to, bdg and the twopoint protocol are golden inputs, and the
-# protocol at n0 = 300 starts from the default gaussian.
+# Requests whose stdout and files must not depend on the BLAS thread
+# count, as the --help epilog promises for every output: the exact trace's
+# t = 0 cell used to, bdg and the twopoint protocol are golden inputs, the
+# protocol at n0 = 300 starts from the default gaussian, and the mode
+# profiles used to differ in 12-16 cells.
 _THREAD_CASES = {
     "dynamics": ["dynamics", "--nbar", "1000", "--n0", "1000", "--grid-points", "1500",
                  "--steps", "300"],
     "bdg": ["bdg", "--nbar", "100", "--n0", "100", "--grid-points", "1500"],
+    "bdg --dump-modes": ["bdg", "--nbar", "100", "--n0", "100", "--grid-points", "1500",
+                         "--dump-modes", "modes.csv"],
     "protocol": ["protocol", "--nbar", "100", "--n0", "100", "--grid-points", "1500",
                  "--init", "twopoint:80,120"],
     "protocol-300": ["protocol", "--nbar", "300", "--n0", "300", "--grid-points", "1500"],
@@ -416,7 +420,9 @@ _THREAD_CASES = {
 
 
 @pytest.mark.parametrize("name", _THREAD_CASES)
-def test_output_bytes_independent_of_thread_count(name):
+def test_output_bytes_independent_of_thread_count(name, tmp_path):
+    # Each request runs in its own empty directory; stdout and every file
+    # it writes there are compared.
     src = Path(__file__).resolve().parents[1] / "src"
     for fmt in ("csv", "json"):
         outputs = []
@@ -425,14 +431,19 @@ def test_output_bytes_independent_of_thread_count(name):
                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
             env["BOGODENSE_THREADS"] = threads
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+            cwd = tmp_path / f"{fmt}-{threads}"
+            cwd.mkdir()
             proc = subprocess.run(
                 [sys.executable, "-m", "bogodense.cli", *_THREAD_CASES[name], "--format", fmt],
-                env=env, capture_output=True, check=True,
+                env=env, capture_output=True, check=True, cwd=cwd,
             )
-            outputs.append(proc.stdout)
+            files = sorted((p.name, p.read_bytes()) for p in cwd.iterdir())
+            outputs.append((proc.stdout, files))
         assert outputs[0] == outputs[1], fmt
         if name == "dynamics" and fmt == "csv":
-            assert outputs[0].split(b"\n")[1] == b"0,0,0"
+            assert outputs[0][0].split(b"\n")[1] == b"0,0,0"
+        if name == "bdg --dump-modes":
+            assert [f for f, _ in outputs[0][1]] == ["modes.csv"]
 
 
 def test_thread_cap_after_numpy_import_warns():
@@ -526,8 +537,8 @@ def test_public_names_resolve_lazily():
 def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
     # The two-mode stage takes dsbevd, dpbtrf and dia_matvec from scipy's
     # two extension modules and no scipy package, and every ground solve
-    # runs on the dptsv of the same LAPACK extension.  Only bdg imports a
-    # scipy package, for ARPACK.
+    # runs on the dptsv of the same LAPACK extension.  No request imports a
+    # scipy package.
     code = (
         "import sys, bogodense; bogodense.ProtocolConfig; from bogodense import gpe; "
         "print(gpe.dptsv is sys.modules['scipy.linalg._flapack'].dptsv)"
@@ -549,13 +560,17 @@ def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
     for argv in desk:
         args = [*argv, "--output", str(tmp_path / f"{argv[0]}.csv")]
         assert _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args) == extensions, argv[0]
+    # The BdG solve runs on the same LAPACK extension: dpttrf, dpbtrf,
+    # dpbtrs and dgbsv.
     loaded = _fresh_python("-c", _SCIPY_AFTER_REQUEST, "bdg", "--output", str(tmp_path / "bdg.csv"))
-    assert "'scipy.sparse.linalg'" in loaded
+    assert loaded == "['scipy.linalg._flapack']\n"
 
 
 # The --help texts of the tree before the CLI's imports became per
 # command; `dynamics --help` names the eigenvector cap, which no longer
-# comes from twomode.  argparse's layout at 80 columns, Python 3.11.
+# comes from twomode, and the epilog no longer excepts the bdg mode
+# profiles from its thread-count promise.  argparse's layout at 80
+# columns, Python 3.11.
 HELP = """\
 usage: bogodense [-h] {ground,modes,dynamics,bdg,protocol,figure1} ...
 
@@ -588,8 +603,8 @@ config file (--config PATH):
 
 environment:
   BOGODENSE_THREADS caps BLAS/OpenMP parallelism (set before launch);
-  parallelism never changes stdout or the --output CSV/JSON bytes, but the
-  bdg --dump-modes profiles may differ in their last digit.
+  parallelism never changes stdout, the --output CSV/JSON or the bdg
+  --dump-modes bytes.
 """
 DYNAMICS_HELP = """\
 usage: bogodense dynamics [-h] [--config PATH] [--mass-kg MASS_KG]
@@ -694,6 +709,7 @@ def test_bdg_table_and_mode_dump(tmp_path):
     assert len(summary["frequencies"]) == 3
     assert summary["c_const"] < 0
     assert abs(summary["residual"]) < 0.1
+    assert 0.0 < summary["eigen_residual"] <= EIGEN_RESIDUAL_TOL
     dump_header, dump = _read_csv(dump_path)
     assert dump_header == ["r", "u_1", "v_1", "u_2", "v_2", "u_3", "v_3"]
     assert dump.shape == (800, 7)

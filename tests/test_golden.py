@@ -32,8 +32,8 @@ GOLDEN = {
     ),
     "bdg": (
         ["bdg", *F],
-        "d6e078396a9c182f0c1b5908928b793ba6778d3249e77547c16077a454e00a51",
-        "ff5ffbce572f2a149cc56bef4eee8ffe2ea40c2436fa728471074c29668881f4",
+        "6d02958ae64c20cc6e62aff90740425f5444b5450a422d6c6bc47174c631aaae",
+        "9798c4b1a8aaf67033b129fc9fbb3293075155f6a5a3150fb77cb6dba81f958f",
     ),
     "dynamics": (
         ["dynamics", *F],
