@@ -19,16 +19,16 @@ pentadiagonal problem
 
     S y = omega^2 y,      S = L^T (A - G) L,      s = L y.
 
-Its lowest eigenpairs come from shift-invert subspace iteration on
-S + _SHIFT*I: one banded Cholesky factorization, one block solve per sweep,
-then QR and Rayleigh-Ritz in numpy (Parlett, The Symmetric Eigenvalue
-Problem, ch. 14).  The norm of S grows like 1/h^4, so its residuals stall
-near eps*||S||; each mode is therefore refined by inverse iteration on the
-first-order system, which is banded with three sub- and superdiagonals
-when s and d are interleaved, and kept only when its relative residual is
-within EIGEN_RESIDUAL_TOL.  The zero-mode (Goldstone) branch is discarded
-explicitly.  Every routine comes from scipy's LAPACK extension alone, so
-no scipy package is imported.
+The GP equation is (A - G) s0 = 0 for s0 = r*xi0, so S y0 = 0 for
+y0 = L^-1 s0.  This known zero mode is projected out (Castin & Dum 1998)
+of shift-invert subspace iteration on S + _SHIFT*I: one banded Cholesky
+factorization, one block solve per sweep, then QR and Rayleigh-Ritz in
+numpy (Parlett, The Symmetric Eigenvalue Problem, ch. 14).  The norm of S
+grows like 1/h^4, so its residuals stall near eps*||S||; each mode is
+therefore refined by inverse iteration on the first-order system (banded,
+kl = ku = 3, with s and d interleaved) and kept only when its relative
+residual is certified.  Every routine comes from scipy's LAPACK extension
+alone, so no scipy package is imported.
 
 Physical amplitudes are projected orthogonal to xi0 and normalized to
 integral(U^2 - V^2) = 1.
@@ -46,16 +46,15 @@ from .params import _count, _scipy_extension
 
 _flapack = _scipy_extension("scipy.linalg._flapack")
 dpttrf, dpbtrf, dpbtrs, dgbsv = _flapack.dpttrf, _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dgbsv
+dtbtrs = _flapack.dtbtrs
 
-# Eigenvalues with omega below this are treated as the Goldstone zero mode.
-# That mode is a Jordan block of the first-order system, with no eigenvector
-# for inverse iteration to find, so it is discarded before refinement.
-OMEGA_TOL = 1e-3
 # Largest relative residual ||K x|| / (omega ||x||) of a kept mode x = (s, d),
-# K the first-order system minus omega.  Refined modes measure 1e-16 to
-# 4e-11 on grids of 24 to 4000 points; the round-off floor grows like 1/h^2,
-# to 8e-10 at 24000 points and nbar = 100.
+# K the first-order system minus omega, or its round-off floor
+# _FLOOR_ULPS * u * ||K||_inf / omega (u = 2^-53) where that is larger.
+# Measured: 1e-16 to 4e-11 up to 4000 points, and 0.76 to 2.3 times
+# u * ||K||_inf / omega from 4000 to 48000 points.
 EIGEN_RESIDUAL_TOL = 1e-9
+_FLOOR_ULPS = 32
 # The subspace iteration factorizes S + _SHIFT*I, positive definite since S
 # is semi-definite, and stops when each wanted Ritz pair's residual is at
 # most _SUBSPACE_TOL * ||S||; reaching _MAX_SWEEPS first is a failure.
@@ -102,6 +101,11 @@ def _band_mul(bands, x):
     return y
 
 
+def _row_sum_norm(bands):
+    """The infinity norm of the symmetric band matrix of _band_mul."""
+    return float(np.max(_band_mul([np.abs(b) for b in bands], np.ones(bands[0].size))))
+
+
 def _symmetric_form(minus, plus):
     """(a, b) of the L with A + G = L L^T, and the three diagonals of S.
 
@@ -126,14 +130,15 @@ def _symmetric_form(minus, plus):
     return (a, b), (s0, s1, s2)
 
 
-def _lowest_vectors(bands, wanted):
-    """The `wanted` lowest Ritz vectors of S, in ascending order of their
-    values, by shift-invert subspace iteration.
+def _lowest_vectors(bands, wanted, y0):
+    """The `wanted` lowest Ritz vectors of S orthogonal to the unit vector
+    y0, in ascending order of their values.
 
-    The block holds twice the wanted pairs (all of S on a smaller grid), so
-    on the near-linear ladder omega_k ~ 2k each sweep shrinks the unwanted
-    components by about 1/4.  A pair has converged when its residual is at
-    most _SUBSPACE_TOL * ||S||, ||S|| bounded by S's largest absolute row sum.
+    y0 is taken out of each solved block and out of S times the block.  The
+    block holds 2 * (wanted + 1) vectors, at most n - 1 (one more brings y0
+    back as a Ritz pair), so on the ladder omega_k ~ 2k each sweep shrinks
+    the unwanted components by about 1/4.  A pair has converged when its
+    residual is at most _SUBSPACE_TOL * ||S||, ||S|| by _row_sum_norm.
     """
     n = bands[0].size
     ab = np.zeros((3, n))
@@ -145,14 +150,18 @@ def _lowest_vectors(bands, wanted):
         raise EigensolverError(
             f"S + {_SHIFT:g} I is not positive definite (dpbtrf info {info})"
         )
-    tol = _SUBSPACE_TOL * float(np.max(_band_mul([np.abs(b) for b in bands], np.ones(n))))
+    tol = _SUBSPACE_TOL * _row_sum_norm(bands)
     # The lowest sine modes of the grid: deterministic, with weight on
     # every low mode of S.
-    q = np.outer(np.arange(1, n + 1) * (np.pi / (n + 1)), np.arange(1, min(2 * wanted, n) + 1))
+    columns = np.arange(1, min(2 * wanted + 2, n - 1) + 1)
+    q = np.outer(np.arange(1, n + 1) * (np.pi / (n + 1)), columns)
     np.sin(q, out=q)
     for _ in range(_MAX_SWEEPS):
-        q = np.linalg.qr(dpbtrs(chol, q, lower=1)[0])[0]
+        q = dpbtrs(chol, q, lower=1)[0]
+        q -= np.outer(y0, y0 @ q)
+        q = np.linalg.qr(q)[0]
         sq = _band_mul(bands, q)
+        sq -= np.outer(y0, y0 @ sq)
         theta, w = np.linalg.eigh(q.T @ sq)
         q, sq = q @ w, sq @ w
         sq -= q * theta
@@ -161,7 +170,8 @@ def _lowest_vectors(bands, wanted):
             return q[:, :wanted]
     raise EigensolverError(
         f"subspace iteration did not converge in {_MAX_SWEEPS} sweeps "
-        f"(residual {worst:.3e}, tolerance {tol:.3e})"
+        f"(residual {worst:.3e}, tolerance {tol:.3e}); the ground mode may "
+        "not solve the GP equation"
     )
 
 
@@ -216,7 +226,8 @@ def solve_bdg(gm, dp, num_modes=8):
     Returns the spectrum sorted by frequency together with the quantum
     depletion energy constant C = -sum_k omega_k * integral(V_k^2).
     Raises EigensolverError when the subspace iteration does not converge
-    or a refined mode's residual exceeds EIGEN_RESIDUAL_TOL.
+    (as when xi0 does not solve the GP equation) or a refined mode's
+    residual exceeds both EIGEN_RESIDUAL_TOL and its round-off floor.
     """
     if gm.method == "thomas_fermi":
         raise InvalidParameterError(
@@ -226,54 +237,42 @@ def solve_bdg(gm, dp, num_modes=8):
     num_modes = _count(num_modes, "num_modes", 1)
     grid = gm.xi0.grid
     n = grid.n_points
-    k = num_modes + 4
-    if k >= n - 1:
+    # The wanted pairs and a margin of four must fit beside y0, in n - 1 dimensions.
+    if num_modes + 4 >= n - 1:
         raise EigensolverError(
             f"grid of {n} points cannot resolve {num_modes} requested modes"
         )
     minus, plus = _operators(gm, dp)
     (a, b), bands = _symmetric_form(minus, plus)
-    # The wanted pairs: the requested modes and the Goldstone mode.
-    vecs = _lowest_vectors(bands, num_modes + 1)
-    first_order = _first_order_band(minus, plus)
     r = grid.nodes
+    s0 = r * gm.xi0.values  # (A - G) s0 = 0 is the GP equation, so S y0 = 0 for L y0 = s0
+    y0, info = dtbtrs(np.vstack((a, np.append(b, 0.0))), s0[:, None], uplo="L")
+    if info != 0:
+        raise EigensolverError(f"L y0 = r xi0 has no solution (dtbtrs info {info})")
+    vecs = _lowest_vectors(bands, num_modes, y0[:, 0] / np.linalg.norm(y0))
+    first_order = _first_order_band(minus, plus)
+    floor = _FLOOR_ULPS * 2.0**-53 * max(_row_sum_norm(minus), _row_sum_norm(plus))
     modes = []
     for y in vecs.T:
         s_w = a * y  # s = L y
         s_w[1:] += b * y[:-1]
-        # y^T S y from the tridiagonal: the Ritz value itself carries the
-        # eps*||S|| rounding of S's entries, about 3e-7 at 4000 points,
-        # which is not small beside OMEGA_TOL^2.
+        # y^T S y from the tridiagonal; the Ritz value carries S's rounding.
         lam = float(s_w @ _band_mul(minus, s_w))
-        if lam <= OMEGA_TOL**2:
-            continue
+        if not lam > 0.0:
+            raise EigensolverError(f"Ritz vector has <s, (A - G) s> = {lam:.3e}, not positive")
         s_w, d_w, omega, residual = _refine(minus, plus, first_order, s_w, math.sqrt(lam))
-        if not residual <= EIGEN_RESIDUAL_TOL:
+        tol = max(EIGEN_RESIDUAL_TOL, floor / omega)
+        if not residual <= tol:
             raise EigensolverError(
                 f"mode at omega = {omega:.6g} has relative residual {residual:.3e} "
-                f"after refinement (tolerance {EIGEN_RESIDUAL_TOL:g})"
+                f"after refinement (tolerance {tol:.3g})"
             )
-        u = RadialField(grid, 0.5 * (s_w + d_w) / r)
-        v = RadialField(grid, 0.5 * (s_w - d_w) / r)
-        u = project_orthogonal(u, gm)
-        v = project_orthogonal(v, gm)
+        u = project_orthogonal(RadialField(grid, 0.5 * (s_w + d_w) / r), gm)
+        v = project_orthogonal(RadialField(grid, 0.5 * (s_w - d_w) / r), gm)
         norm = integrate(RadialField(grid, u.values**2 - v.values**2))
-        if norm <= 1e-10:
-            continue
-        scale = 1.0 / math.sqrt(norm)
-        uv = u.values * scale
-        vv = v.values * scale
-        if uv[np.argmax(np.abs(uv))] < 0:
-            uv, vv = -uv, -vv
-        modes.append(
-            BdgMode(omega=omega, u=RadialField(grid, uv), v=RadialField(grid, vv), residual=residual)
-        )
-        if len(modes) == num_modes:
-            break
-    if len(modes) < num_modes:
-        raise EigensolverError(
-            f"found only {len(modes)} positive-norm modes of {num_modes} requested"
-        )
+        scale = math.copysign(1.0 / math.sqrt(norm), u.values[np.argmax(np.abs(u.values))])
+        u, v = RadialField(grid, u.values * scale), RadialField(grid, v.values * scale)
+        modes.append(BdgMode(omega=omega, u=u, v=v, residual=residual))
     c_const = -sum(
         m.omega * integrate(RadialField(grid, m.v.values**2)) for m in modes
     )

@@ -561,7 +561,7 @@ def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
         args = [*argv, "--output", str(tmp_path / f"{argv[0]}.csv")]
         assert _fresh_python("-c", _SCIPY_AFTER_REQUEST, *args) == extensions, argv[0]
     # The BdG solve runs on the same LAPACK extension: dpttrf, dpbtrf,
-    # dpbtrs and dgbsv.
+    # dpbtrs, dtbtrs and dgbsv.
     loaded = _fresh_python("-c", _SCIPY_AFTER_REQUEST, "bdg", "--output", str(tmp_path / "bdg.csv"))
     assert loaded == "['scipy.linalg._flapack']\n"
 

@@ -32,8 +32,8 @@ GOLDEN = {
     ),
     "bdg": (
         ["bdg", *F],
-        "6d02958ae64c20cc6e62aff90740425f5444b5450a422d6c6bc47174c631aaae",
-        "9798c4b1a8aaf67033b129fc9fbb3293075155f6a5a3150fb77cb6dba81f958f",
+        "2c86d3da9c236ef3bfdc918a4d204cae3da1c4c0734ce23bd11b840272583e72",
+        "41927e94e30ec2bb93b9c4e95b6107d6a36d39e3a4924e241bfbc36a2f5c8ce2",
     ),
     "dynamics": (
         ["dynamics", *F],
