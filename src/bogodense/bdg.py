@@ -26,9 +26,10 @@ factorization, one block solve per sweep, then QR and Rayleigh-Ritz in
 numpy (Parlett, The Symmetric Eigenvalue Problem, ch. 14).  The norm of S
 grows like 1/h^4, so its residuals stall near eps*||S||; each mode is
 therefore refined by inverse iteration on the first-order system (banded,
-kl = ku = 3, with s and d interleaved) and kept only when its relative
-residual is certified.  Every routine comes from scipy's LAPACK extension
-alone, so no scipy package is imported.
+kl = ku = 3, with s and d interleaved) until its relative residual meets
+the certified bound, and refused when a step fails to halve it.  Every
+routine comes from scipy's LAPACK extension alone, so no scipy package is
+imported.
 
 Physical amplitudes are projected orthogonal to xi0 and normalized to
 integral(U^2 - V^2) = 1.
@@ -62,8 +63,6 @@ _FLOOR_ULPS = 32
 _SHIFT = 10.0
 _SUBSPACE_TOL = 1e-12
 _MAX_SWEEPS = 50
-# Inverse-iteration steps on the first-order system per kept mode.
-_REFINE_STEPS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,28 +189,43 @@ def _first_order_band(minus, plus):
     return ab
 
 
-def _refine(minus, plus, first_order, s, omega):
-    """(s, d, omega, residual) after _REFINE_STEPS steps of inverse
-    iteration on the first-order system, omega <- <s,(A-G)s> / <s,d>.
+def _residual(minus, plus, x, omega):
+    """||K x|| / (omega ||x||) for interleaved x = (s, d), K the first-order
+    system minus omega."""
+    s, d = x[0::2], x[1::2]
+    rs = _band_mul(plus, d) - omega * s
+    rd = _band_mul(minus, s) - omega * d
+    return math.sqrt((rs @ rs + rd @ rd) / (x @ x)) / omega
 
-    residual is ||K x|| / (omega ||x||) at the final omega, x = (s, d)
-    and K the first-order system minus omega.
+
+def _refine(minus, plus, first_order, s, omega, floor):
+    """(s, d, omega, residual) by inverse iteration on the first-order
+    system from x = (s, (A-G)s/omega), omega <- <s,(A-G)s> / <s,d>.
+
+    Steps run while the _residual of x exceeds its bound
+    max(EIGEN_RESIDUAL_TOL, floor/omega), so a start that meets it takes
+    none and dgbsv never factorizes a shift that is the eigenvalue to
+    every digit.  A step that fails to halve the residual is refused,
+    which also bounds the loop.
     """
     x = np.empty(first_order.shape[1])
     x[0::2] = s
     x[1::2] = _band_mul(minus, s) / omega
-    for _ in range(_REFINE_STEPS):
+    residual = _residual(minus, plus, x, omega)
+    while not residual <= max(EIGEN_RESIDUAL_TOL, floor / omega):
         first_order[6] = -omega  # dgbsv factorizes a copy
         _, _, x, info = dgbsv(3, 3, first_order, x / np.linalg.norm(x))
         if info != 0:
             raise EigensolverError(f"first-order refinement failed: dgbsv info {info}")
         s = x[0::2]
         omega = float(s @ _band_mul(minus, s)) / float(s @ x[1::2])
-    s, d = x[0::2], x[1::2]
-    rs = _band_mul(plus, d) - omega * s
-    rd = _band_mul(minus, s) - omega * d
-    residual = math.sqrt((rs @ rs + rd @ rd) / (x @ x)) / omega
-    return s, d, omega, residual
+        last, residual = residual, _residual(minus, plus, x, omega)
+        if not residual <= 0.5 * last:
+            raise EigensolverError(
+                f"refinement of the mode at omega = {omega:.6g} did not halve its "
+                f"relative residual ({last:.3e} -> {residual:.3e})"
+            )
+    return x[0::2], x[1::2], omega, residual
 
 
 def project_orthogonal(f, gm):
@@ -226,8 +240,9 @@ def solve_bdg(gm, dp, num_modes=8):
     Returns the spectrum sorted by frequency together with the quantum
     depletion energy constant C = -sum_k omega_k * integral(V_k^2).
     Raises EigensolverError when the subspace iteration does not converge
-    (as when xi0 does not solve the GP equation) or a refined mode's
-    residual exceeds both EIGEN_RESIDUAL_TOL and its round-off floor.
+    (as when xi0 does not solve the GP equation) or a refinement step
+    fails to halve a mode's residual before it meets the larger of
+    EIGEN_RESIDUAL_TOL and its round-off floor.
     """
     if gm.method == "thomas_fermi":
         raise InvalidParameterError(
@@ -260,13 +275,7 @@ def solve_bdg(gm, dp, num_modes=8):
         lam = float(s_w @ _band_mul(minus, s_w))
         if not lam > 0.0:
             raise EigensolverError(f"Ritz vector has <s, (A - G) s> = {lam:.3e}, not positive")
-        s_w, d_w, omega, residual = _refine(minus, plus, first_order, s_w, math.sqrt(lam))
-        tol = max(EIGEN_RESIDUAL_TOL, floor / omega)
-        if not residual <= tol:
-            raise EigensolverError(
-                f"mode at omega = {omega:.6g} has relative residual {residual:.3e} "
-                f"after refinement (tolerance {tol:.3g})"
-            )
+        s_w, d_w, omega, residual = _refine(minus, plus, first_order, s_w, math.sqrt(lam), floor)
         u = project_orthogonal(RadialField(grid, 0.5 * (s_w + d_w) / r), gm)
         v = project_orthogonal(RadialField(grid, 0.5 * (s_w - d_w) / r), gm)
         norm = integrate(RadialField(grid, u.values**2 - v.values**2))

@@ -86,8 +86,6 @@ def _build_parser():
     num.add_argument(
         "--r-max", type=float, default=None, help="grid extent [r0]; default fits the cloud"
     )
-    num.add_argument("--tol", type=float, default=1e-8, help="ground-solver residual")
-    num.add_argument("--max-iter", type=int, default=100000, help="solver iteration cap")
     out = common.add_argument_group("output")
     out.add_argument("--output", metavar="PATH", help="CSV path (+ .json sidecar)")
     out.add_argument(
@@ -230,7 +228,7 @@ def _stages(cfg):
     """The mean-field chain: trap units, grid, xi0, xi1 and the couplings."""
     dp = to_dimensionless(cfg.physical)
     grid = default_grid(dp, n_points=cfg.grid_points, r_max=cfg.r_max)
-    gm = solve_gpe(dp, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    gm = solve_gpe(dp, grid)
     m1 = build_xi1(gm)
     return dp, grid, gm, m1, coefficients(gm, m1, dp)
 

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .grid import RadialField, integrate, laplacian
-from .params import _count, _real, _scipy_extension
+from .params import _scipy_extension
 
 # LAPACK's dptsv solves tridiag(e, d, e) x = b by LDL^T; info = i > 0 when
 # the i-th pivot is not positive.  It is loaded from scipy's LAPACK
@@ -44,6 +44,14 @@ _DTAU = 0.02
 # Imaginary-time steps taken when a Newton trial is refused.
 _FALLBACK_STEPS = 10
 _EPS = float(np.finfo(float).eps)
+# Applying H to a unit mode rounds by about eps * max|diag H| in the
+# residual's norm.  solve_gpe stops at _FLOOR_MULTIPLE times that floor.
+# Stopped residuals read 0.03-3.65 times it, median 0.44 (nbar = 1 to 1e7,
+# a_sc = 0 to 1e-8, 16 to 48000 points).
+_FLOOR_MULTIPLE = 4
+# Step budget of solve_gpe, counting each accepted Newton step and each
+# imaginary-time step as one; reaching it is a ConvergenceError.
+_MAX_STEPS = 100000
 # A converged mode may dip below zero by at most this many eps times its
 # maximum before the clamp; a deeper dip is a node.  Measured pre-clamp
 # minima are >= 0 from nbar = 1 to 1e6 and for the free gas.
@@ -153,7 +161,7 @@ def _initial_guess(dp, grid):
     return values / math.sqrt(norm)
 
 
-def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
+def solve_gpe(dp, grid):
     """Ground-state solve: Newton steps, with imaginary time as the fallback.
 
     Each outer iteration tries one Newton step (`newton_step`) and keeps it
@@ -164,17 +172,10 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
     time brings the iterate into Newton's basin; near it Newton converges
     quadratically to the round-off floor.
 
-    Parameters
-    ----------
-    dp : DimensionlessParams
-    grid : RadialGrid
-    tol : float
-        Convergence threshold on the L2 residual norm of the discrete
-        eigenproblem; it is the only stopping test.
-    max_iter : int
-        Step budget, counting each accepted Newton step and each
-        imaginary-time step as one; exceeding it raises a convergence error
-        carrying the last residual.
+    It stops when the L2 residual norm of the discrete eigenproblem is at
+    most `_FLOOR_MULTIPLE` times its round-off floor eps * max|diag H|.
+    Reaching `_MAX_STEPS` steps first raises a ConvergenceError carrying
+    the last residual and the step count.
 
     Returns
     -------
@@ -190,28 +191,16 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
         raise UnsupportedRegimeError(
             f"attractive interactions (g = {dp.g}) are not supported"
         )
-    tol = _real(tol, "tol", 0.0, strict=True)
-    max_iter = _count(max_iter, "max_iter", 0)
     values = _initial_guess(dp, grid)
     res = residual_norm(dp, RadialField(grid, values))
-    # Applying H to a unit mode rounds by about eps * max|diag H| in the
-    # residual's norm.  Converged residuals sit at 0.2-0.35 of this floor
-    # (nbar = 1 to 1e6, 800 and 4000 points), so a tol below it is reached
-    # by chance if at all, and the loop would spend its whole budget.
     floor = _EPS * float(np.max(_tridiagonal(grid, dp.g * dp.nbar * values**2)[0]))
-    if tol < floor:
-        raise ConvergenceError(
-            f"tol {tol:.3e} is below the round-off floor {floor:.3e} of the "
-            f"residual on this grid (eps * max|diag H|); raise tol or coarsen the grid",
-            residual=res,
-            iterations=0,
-        )
+    tol = _FLOOR_MULTIPLE * floor
     iterations = 0
     while res > tol:
-        if iterations >= max_iter:
+        if iterations >= _MAX_STEPS:
             raise ConvergenceError(
-                f"no convergence after {iterations} iterations "
-                f"(residual {res:.3e}, tol {tol:.3e})",
+                f"no convergence after {iterations} iterations (residual "
+                f"{res:.3e}, bound {tol:.3e} = {_FLOOR_MULTIPLE} x round-off floor)",
                 residual=res,
                 iterations=iterations,
             )
@@ -222,7 +211,7 @@ def solve_gpe(dp, grid, tol=1e-8, max_iter=100000):
                 values, res = trial, trial_res
                 iterations += 1
                 continue
-        steps = min(_FALLBACK_STEPS, max_iter - iterations)
+        steps = min(_FALLBACK_STEPS, _MAX_STEPS - iterations)
         for _ in range(steps):
             values = imaginary_time_step(dp, grid, values, _DTAU)
         iterations += steps

@@ -154,7 +154,7 @@ def dominant_frequency(times, values):
 def gpe_residual(gm, dp):
     """L2 norm of (H[xi0] - mu) xi0 with the discrete operators, at gm.nbar.
 
-    Converged numeric modes sit at the solver tolerance; the Thomas-Fermi
+    Converged numeric modes sit at their round-off floor; the Thomas-Fermi
     profile shows the discretization floor instead.
     """
     return residual_norm(replace(dp, nbar=gm.nbar), gm.xi0)

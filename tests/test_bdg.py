@@ -12,15 +12,20 @@ from bogodense import (
     RadialField,
     RadialGrid,
     decompose_mode1,
-    default_grid,
     integrate,
     project_orthogonal,
     solve_bdg,
-    solve_gpe,
     thomas_fermi_mode,
     to_dimensionless,
 )
 from bogodense.bdg import EIGEN_RESIDUAL_TOL, _band_mul, _operators, _row_sum_norm
+from bogodense.gpe import (
+    _DTAU,
+    _initial_guess,
+    chemical_potential,
+    imaginary_time_step,
+    residual_norm,
+)
 
 from oracles import reference_params, solve_case
 
@@ -132,23 +137,19 @@ def test_frequencies_match_dense_first_order_system(coarse):
 def test_every_served_mode_count_matches_dense_on_small_grids(n_points):
     # A block that fills the zero mode's complement must neither bring the
     # zero mode back (omega <= 0) nor reach a math domain error: every
-    # count the size guard accepts is either the dense spectrum or refused.
-    dp, _, gm, _, _ = solve_case(100.0, n_points=n_points)
-    dense = _dense_frequencies(_first_order_matrix(gm, dp), n_points)
-    refused = []
-    for num_modes in range(1, n_points - 5):
-        try:
+    # count the size guard accepts is the dense spectrum.  On 40 points the
+    # start omega of some modes is the eigenvalue to every digit, so the
+    # shifted first-order matrix is exactly singular; a start that already
+    # meets its bound takes no step and is served.
+    for nbar in (100.0, 1000.0):
+        dp, _, gm, _, _ = solve_case(nbar, n_points=n_points)
+        dense = _dense_frequencies(_first_order_matrix(gm, dp), n_points)
+        for num_modes in range(1, n_points - 5):
             om = solve_bdg(gm, dp, num_modes=num_modes).frequencies
-        except EigensolverError:
-            refused.append(num_modes)
-            continue
-        assert np.all(om > 0.0)
-        assert np.all(np.abs(om / dense[:num_modes] - 1.0) < 1e-10)
-    # Measured: only 24 on 40 points, where a refinement shift is exactly
-    # singular; discarding the zero mode by a tolerance refused 24 to 34.
-    assert len(refused) <= 1
-    with pytest.raises(EigensolverError, match="cannot resolve"):
-        solve_bdg(gm, dp, num_modes=n_points - 5)
+            assert np.all(om > 0.0)
+            assert np.all(np.abs(om / dense[:num_modes] - 1.0) < 1e-10), (nbar, num_modes)
+        with pytest.raises(EigensolverError, match="cannot resolve"):
+            solve_bdg(gm, dp, num_modes=n_points - 5)
 
 
 def test_fine_grid_serves_every_mode():
@@ -165,25 +166,50 @@ def test_fine_grid_serves_every_mode():
 
 
 def test_loosely_converged_ground_mode_served(fig1_spec):
-    # At tol = 1e-2, r*xi0 is a null vector of A - G only to that residual.
+    # Imaginary time from the initial guess, stopped at a residual of 3e-3
+    # (77 steps): r*xi0 is a null vector of A - G only to that residual.
     # Taking y0 out of S times the block as well as out of the block keeps
-    # the subspace iteration converging; omega_1 moves with the ground mode.
-    dp = fig1_spec["dp"]
-    gm = solve_gpe(dp, default_grid(dp), tol=1e-2)
+    # the subspace iteration converging; omega_1 moves with the ground mode,
+    # by about 0.37 times the residual.
+    dp, grid = fig1_spec["dp"], fig1_spec["grid"]
+    values = _initial_guess(dp, grid)
+    while residual_norm(dp, RadialField(grid, values)) > 3e-3:
+        values = imaginary_time_step(dp, grid, values, _DTAU)
+    xi0 = RadialField(grid, values)
+    gm = GroundMode(
+        xi0=xi0,
+        mu=chemical_potential(dp, xi0),
+        nbar=dp.nbar,
+        method="numeric",
+        residual=residual_norm(dp, xi0),
+        iterations=0,
+    )
     om = solve_bdg(gm, dp, num_modes=8).frequencies
     assert om.shape == (8,)
     assert om[0] == pytest.approx(fig1_spec["spec"].frequencies[0], rel=2e-3)
 
 
 def test_residual_bound_follows_round_off_floor():
-    # At 32000 points the refined residual of omega_1 exceeds the fixed
-    # tolerance but stays within the floor bound 32 u ||K||_inf / omega.
-    dp, _, gm, _, _ = solve_case(100.0, n_points=32000)
-    spec = solve_bdg(gm, dp, num_modes=8)
-    knorm = max(_row_sum_norm(op) for op in _operators(gm, dp))
-    assert max(m.residual for m in spec.modes) > EIGEN_RESIDUAL_TOL
-    for mode in spec.modes:
-        assert 0.0 <= mode.residual <= 32 * 2.0**-53 * knorm / mode.omega
+    # At 32000 points the refined residuals exceed the fixed tolerance but
+    # stay within the floor bound 32 u ||K||_inf / omega, at nbar = 100 and
+    # at the CLI default nbar = 1e5, where mode 8 needs three steps.
+    for nbar in (100.0, 1.0e5):
+        dp, _, gm, _, _ = solve_case(nbar, n_points=32000)
+        spec = solve_bdg(gm, dp, num_modes=8)
+        knorm = max(_row_sum_norm(op) for op in _operators(gm, dp))
+        assert max(m.residual for m in spec.modes) > EIGEN_RESIDUAL_TOL
+        for mode in spec.modes:
+            assert 0.0 <= mode.residual <= 32 * 2.0**-53 * knorm / mode.omega
+
+
+def test_single_mode_on_a_fine_grid_matches_the_eight_mode_solve():
+    # One wanted mode on 16000 points: its Ritz vector starts further from
+    # the eigenvector than in a wider block, so refinement takes three steps.
+    dp, _, gm, _, _ = solve_case(100.0, n_points=16000)
+    one = solve_bdg(gm, dp, num_modes=1).frequencies
+    eight = solve_bdg(gm, dp, num_modes=8).frequencies
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(eight[0], rel=1e-9)
 
 
 def test_printed_modes_satisfy_first_order_system(fig1_spec):
@@ -305,6 +331,11 @@ def _singular(ab, b, uplo):
     return b, 3
 
 
+def _no_progress(kl, ku, ab, b):
+    # A refinement step that leaves x where it was.
+    return ab, None, b, 0
+
+
 def _zero_vectors(bands, wanted, y0):
     # A subspace of zero vectors, for which <s, (A - G) s> = 0.
     return np.zeros((bands[0].size, wanted))
@@ -314,8 +345,8 @@ def _zero_vectors(bands, wanted, y0):
     "name, value, message",
     [
         ("_MAX_SWEEPS", 1, "subspace iteration did not converge in 1 sweeps"),
-        # Unrefined subspace vectors keep residuals far above the tolerance.
-        ("_REFINE_STEPS", 0, "relative residual"),
+        # The start misses its bound at the golden input, so one step runs.
+        ("dgbsv", _no_progress, "did not halve its relative residual"),
         ("dpttrf", _indefinite, "A \\+ G is not positive definite \\(dpttrf info 5\\)"),
         ("dtbtrs", _singular, "dtbtrs info 3"),
         ("_lowest_vectors", _zero_vectors, "not positive"),

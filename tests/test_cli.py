@@ -144,14 +144,6 @@ def test_help_names_exactly_the_config_keys(capsys):
 # ------------------------------------------------------------------ exit codes
 
 
-def test_tolerance_below_the_round_off_floor_exits_1(capsys):
-    # Refused before the first step, so no step budget is spent on it.
-    assert main(["ground", "--nbar", "100", "--tol", "1e-14"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error [convergence]: tol 1.000e-14 is below the round-off")
-
-
 def test_exit_codes(tmp_path, capsys):
     assert main(["ground", *FAST, "--output", str(tmp_path / "g.csv")]) == 0
     capsys.readouterr()
@@ -159,10 +151,6 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["ground", *FAST, "--mass-kg", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [invalid-parameter]:")
-    # A nan or inf tolerance used to skip the solve and exit 0 unconverged.
-    for bad in ("nan", "inf", "0"):
-        assert main(["ground", *FAST, "--tol", bad]) == 1
-        assert capsys.readouterr().err.startswith("error [invalid-parameter]:")
     # argparse errors keep their conventional exit status.
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -611,9 +599,9 @@ usage: bogodense dynamics [-h] [--config PATH] [--mass-kg MASS_KG]
                           [--scattering-length-m SCATTERING_LENGTH_M]
                           [--trap-frequency-hz TRAP_FREQUENCY_HZ]
                           [--nbar NBAR] [--n0 N0] [--grid-points GRID_POINTS]
-                          [--r-max R_MAX] [--tol TOL] [--max-iter MAX_ITER]
-                          [--output PATH] [--format {csv,json}] [--si]
-                          [--m-total M_TOTAL] [--t-max T_MAX] [--steps STEPS]
+                          [--r-max R_MAX] [--output PATH]
+                          [--format {csv,json}] [--si] [--m-total M_TOTAL]
+                          [--t-max T_MAX] [--steps STEPS]
                           [--mode {exact,analytic,both}]
 
 options:
@@ -639,8 +627,6 @@ numerics:
   --grid-points GRID_POINTS
                         radial nodes
   --r-max R_MAX         grid extent [r0]; default fits the cloud
-  --tol TOL             ground-solver residual
-  --max-iter MAX_ITER   solver iteration cap
 
 output:
   --output PATH         CSV path (+ .json sidecar)
@@ -849,8 +835,8 @@ INIT_SPECS = [
 
 # Each flag is drawn or left out, except those in BOUNDED and in the second
 # dict of OWN[command]: they are always given, since their defaults (4000
-# grid points, 1e5 iterations, 401 steps, 200 cycles) are slow.  With every
-# valid sector at M <= 300 an example stays under a second.
+# grid points, 401 steps, 200 cycles) are slow.  With every valid sector at
+# M <= 300 an example stays under a second.
 COMMON = {
     "--nbar": _float_flag("100"),
     "--n0": _float_flag("100"),
@@ -858,11 +844,10 @@ COMMON = {
     "--scattering-length-m": _float_flag("1e-8"),
     "--trap-frequency-hz": _float_flag("1000"),
     "--r-max": _float_flag("8"),
-    "--tol": _float_flag("1e-8"),
     "--format": st.sampled_from(["csv", "json"]),
     "--si": st.none(),
 }
-BOUNDED = {"--grid-points": _int_flag("800"), "--max-iter": _int_flag("3000")}
+BOUNDED = {"--grid-points": _int_flag("800")}
 OWN = {
     "ground": ({"--tf": st.none()}, {}),
     "modes": ({}, {}),

@@ -32,8 +32,8 @@ GOLDEN = {
     ),
     "bdg": (
         ["bdg", *F],
-        "2c86d3da9c236ef3bfdc918a4d204cae3da1c4c0734ce23bd11b840272583e72",
-        "41927e94e30ec2bb93b9c4e95b6107d6a36d39e3a4924e241bfbc36a2f5c8ce2",
+        "0f3a4a0721e109f392cc02c8720e9407b2d62d820b6631d3ed1aa916abe5d32e",
+        "0347f5a5c37dcd3f6c6dfb102ee20a32f0c4e758419405236d0ecff4ca581c9e",
     ),
     "dynamics": (
         ["dynamics", *F],

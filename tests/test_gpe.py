@@ -3,7 +3,6 @@ import os
 import struct
 import subprocess
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -144,33 +143,35 @@ def test_attractive_rejected():
         solve_gpe(bad, default_grid(dp, n_points=500))
 
 
-def test_convergence_error_carries_state():
-    # A reachable tol (the round-off floor is 8.0e-13 here) with too
-    # small a step budget: the error carries the last residual and the
-    # budget spent.
+def test_convergence_error_carries_state(monkeypatch):
+    # Too small a step budget (the round-off bound is 3.2e-12 here): the
+    # error carries the last residual and the budget spent.
     dp = to_dimensionless(reference_params(1.0e5))
     grid = default_grid(dp, n_points=1000)
-    with pytest.raises(ConvergenceError) as err:
-        solve_gpe(dp, grid, tol=1e-11, max_iter=3)
+    monkeypatch.setattr(gpe, "_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="no convergence after 3 iterations") as err:
+        solve_gpe(dp, grid)
     assert err.value.iterations == 3
     assert err.value.residual > 1e-11
     assert err.value.category == "convergence"
 
 
-def test_tolerance_below_the_round_off_floor_is_refused():
-    # The residual does not fall far below eps * max|diag H| (5.6e-11 on
-    # this grid, reached ~2e-11); a tol under it used to spend the whole
-    # step budget (33 s at 1e-12).
-    dp = to_dimensionless(reference_params(100.0))
-    grid = default_grid(dp)
-    start = time.perf_counter()
-    with pytest.raises(ConvergenceError) as err:
-        solve_gpe(dp, grid, tol=1e-14)
-    assert time.perf_counter() - start < 0.5
-    assert err.value.iterations == 0
-    assert "round-off floor 5.552e-11" in str(err.value)
-    # Just above the floor the solve converges.
-    assert solve_gpe(dp, grid, tol=5.6e-11).residual <= 5.6e-11
+@pytest.mark.parametrize(
+    "nbar, a_sc, n_points",
+    [(1.0, 1e-8, 4000), (100.0, 1e-8, 4000), (1.0e4, 1e-8, 4000), (1.0e6, 1e-8, 4000),
+     (100.0, 0.0, 800), (100.0, 0.0, 2000)],
+    ids=["nbar1", "nbar100", "nbar1e4", "nbar1e6", "free800", "free2000"],
+)
+def test_residual_at_its_round_off_floor(nbar, a_sc, n_points):
+    # The solve stops at 4 eps max|diag H| whatever the trap and grid, the
+    # free gas's imaginary time included.
+    dp = to_dimensionless(reference_params(nbar, a_sc=a_sc))
+    grid = default_grid(dp, n_points=n_points)
+    gm = solve_gpe(dp, grid)
+    d = _tridiagonal(grid, dp.g * gm.nbar * gm.xi0.values**2)[0]
+    floor = np.finfo(float).eps * np.max(d)
+    assert gm.residual <= 4.0 * floor
+    assert gpe_residual(gm, dp) <= 4.0 * floor
 
 
 def test_a_converged_state_with_a_node_is_refused(monkeypatch):
@@ -385,7 +386,7 @@ def test_newton_trial_that_raises_the_residual_is_refused(monkeypatch):
     grid = default_grid(dp, n_points=1000)
     guess = _initial_guess(dp, grid)
     monkeypatch.setattr(gpe, "newton_step", lambda *args: guess)
-    gm = solve_gpe(dp, grid, max_iter=2000)
+    gm = solve_gpe(dp, grid)
     assert gm.residual <= 1e-8
     assert gm.iterations % 10 == 0 and gm.iterations > 100
 

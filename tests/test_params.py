@@ -22,7 +22,6 @@ from bogodense import (
     point_distribution,
     run_protocol,
     solve_bdg,
-    solve_gpe,
     to_dimensionless,
     two_point_distribution,
 )
@@ -154,7 +153,6 @@ COUNTS = {
     "solve_bdg": lambda c, n: solve_bdg(c["gm"], c["dp"], num_modes=n).frequencies,
     # The offsets keep 3 above each lower bound and 2.5 off the integers.
     "RadialGrid-n_points": lambda c, n: RadialGrid(8.0, n + 13).nodes,
-    "solve_gpe-max_iter": lambda c, n: solve_gpe(c["dp"], c["grid"], max_iter=n + 1000).xi0.values,
 }
 
 
@@ -216,7 +214,6 @@ REALS = {
         lambda c, x: (ProtocolConfig(n0=x, coeffs=c["coeffs"], cycles=1, m_max=10).n0,),
         100.0, 0.0),
     "r_max": (lambda c, x: RadialGrid(x, 32).nodes, 8.0, 0.0),
-    "tol": (lambda c, x: solve_gpe(c["dp"], c["grid"], tol=x).xi0.values, 1e-8, 0.0),
     "mean": (lambda c, x: gaussian_distribution(x, 2.0, 20).probabilities, 10.0, None),
     "sigma": (lambda c, x: gaussian_distribution(10.0, x, 20).probabilities, 2.0, 0.0),
     "t": (lambda c, x: evolve_exact(build_h01(synthetic_coeffs(gamma=0.3, g01=0.2), 8),
