@@ -114,8 +114,8 @@ def _build_parser():
         "--mode",
         choices=("exact", "analytic", "both"),
         default="both",
-        help=f"which traces to emit (exact needs M <= {_EIG_LIMIT}, the dense "
-        "eigenvector cap)",
+        help=f"which traces to emit (exact needs M <= {_EIG_LIMIT}, the "
+        "eigensolver limit)",
     )
 
     p = sub.add_parser("bdg", parents=[common], help="quasiparticle spectrum")
@@ -295,9 +295,8 @@ def _cmd_dynamics(cfg):
     exact = cfg.mode in ("exact", "both")
     if exact and m_total > _EIG_LIMIT:
         raise UnsupportedRegimeError(
-            f"exact trace at M = {m_total} exceeds the dense eigenvector cap "
-            f"{_EIG_LIMIT} ({8 * (_EIG_LIMIT + 1) ** 2 / 1e6:.0f} MB); "
-            f"run with --mode analytic or a smaller --m-total"
+            f"exact trace at M = {m_total} exceeds the eigensolver limit "
+            f"{_EIG_LIMIT}; run with --mode analytic or a smaller --m-total"
         )
     if cfg.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {cfg.steps}")

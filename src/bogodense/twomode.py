@@ -33,17 +33,31 @@ from .params import _EIG_LIMIT, _count, _real, _scipy_extension
 # modules without importing the scipy.linalg and scipy.sparse packages.
 _flapack = _scipy_extension("scipy.linalg._flapack")
 dsbevd, dpbtrf = _flapack.dsbevd, _flapack.dpbtrf
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dia_matvec = _scipy_extension("scipy.sparse._sparsetools").dia_matvec
 
-# mean_n1_trace samples the cached eigensystem up to M = _EIG_LIMIT (see
-# params), on the one window of eigenmodes whose discarded start weight
-# delta^2 keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a unit start;
-# above it the trace steps the Chebyshev propagator between sorted times.
+# mean_n1_trace samples the eigenpairs of one energy window up to M =
+# _EIG_LIMIT (see params): the window's moment bound on the start weight
+# outside it, delta^2, keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a
+# unit start; above it the trace steps the Chebyshev propagator between
+# sorted times.
 _WINDOW_TOL = 1e-12
 # Samples per block of the spectral trace, and eigenvector rows per block
 # of its window's number operator: a block holds a few window x
-# _TRACE_BLOCK real arrays, small next to the (M+1)^2 eigenvectors.
+# _TRACE_BLOCK real arrays, small next to the (M+1) x window eigenvectors.
 _TRACE_BLOCK = 64
+# Inverse iteration, after LAPACK's dstein, for the eigenvectors of an
+# eigenvalue interval.  Relative to a bound ||H|| on the norm: shifts
+# closer than _PERTURB are moved apart (and an exactly singular one is
+# moved on), and a vector is reorthogonalized against the ones whose
+# eigenvalues lie within _CLUSTER of its own.  A vector is kept at its
+# second iterate whose residual ||Hv - lambda v|| is at most
+# max(M + 1, 1/_CLUSTER) eps ||H||, within _INVIT_STEPS solves: the
+# (M + 1) eps scale of LAPACK's own tests, and the eps/_CLUSTER to which
+# inverse iteration orthogonalizes eigenvalues that are not reorthogonalized.
+_PERTURB = 10.0 * 2.0**-52
+_CLUSTER = 1e-3
+_INVIT_STEPS = 5
 # Elements per stacked Chebyshev recursion: sectors are packed into vectors
 # of at most this length n, so its work arrays (the (5, n) DIA band and its
 # negation, the S_{k-1} and S_k rows, the (2, n) accumulator and one
@@ -59,10 +73,10 @@ _TAIL_TOL = 1e-12
 # into equal steps of at most half that.
 _Z_MAX = 1e6
 # A sector whose Gershgorin series runs more than _REFINE_TERMS terms is
-# scaled by a certified tight interval instead.  Its 15-20 banded Cholesky
-# factorizations (at most 11 per end) cost 0.24, 1.0 and 4.1 ms at M =
-# 130, 1000 and 5000 (one core), and Gershgorin overstates the half-width
-# by 2-18 %.  In a stack of 16 sectors of a protocol at n0 = 1000 the
+# scaled by a certified tight interval instead.  Its 7-21 banded Cholesky
+# factorizations (at most 12 per end) cost 0.14, 0.58 and 1.0-1.6 ms at
+# M = 130, 1000 and 5000 (one core), and Gershgorin overstates the
+# half-width by 2-18 %.  In a stack of 16 sectors of a protocol at n0 = 1000 the
 # certificates cost 1.5 ms more than they save at 1800 terms and save
 # 5 ms at 2600, so they pay from about 2000 terms.  That protocol's 1190
 # kernels, the top 216 sectors at 2000-2600 terms, build in 5.8-6.2 s
@@ -90,8 +104,8 @@ class TwoModeHamiltonian:
     No band is stored: _sector_bands writes it whenever one is needed, and
     once in __post_init__, so a non-finite matrix element is refused when
     H is made.  diag, off1 and off2 are read-only views of a fresh band.
-    The eigensystem is computed on the first eigensystem() call and cached
-    in _eig; the fields cannot change, so the cache cannot go stale.
+    The eigenpairs of the last interval asked for are cached in _eig by
+    eigensystem(); the fields cannot change, so the cache cannot go stale.
     """
 
     coeffs: object  # CouplingCoefficients
@@ -124,14 +138,29 @@ class TwoModeHamiltonian:
             a[j - off, j] = row[j]
         return a
 
-    def eigensystem(self):
-        if self._eig is None:
-            band = self.to_dia()[[0, 2, 1]]  # lower band storage, a fresh copy
-            w, v, info = dsbevd(band, compute_v=1, lower=1, overwrite_ab=1)
-            if info != 0:
-                raise EigensolverError(f"dsbevd failed at M = {self.m_total}: info {info}")
-            object.__setattr__(self, "_eig", (w, v))
-        return self._eig
+    def eigensystem(self, lo=-math.inf, hi=math.inf):
+        """The eigenpairs with eigenvalue in [lo, hi]: w ascending, v[:, k] the k-th.
+
+        dsbevd's eigenvalues choose the pairs, and banded inverse iteration
+        gives their eigenvectors and Rayleigh quotients, each pair certified
+        by its residual and the block by its orthogonality (_interval_pairs);
+        a certificate that fails raises EigensolverError and caches nothing.
+        The result is cached in _eig with its interval, and a call for an
+        interval inside it is served by slicing at the returned eigenvalues.
+        """
+        if not lo <= hi:
+            raise InvalidParameterError(f"eigenvalue interval [{lo!r}, {hi!r}] is empty")
+        if self._eig is not None:
+            interval, pair = self._eig
+            if interval == (lo, hi):
+                return pair
+            if interval[0] <= lo and hi <= interval[1]:
+                w, v = pair
+                a, b = np.searchsorted(w, lo, side="left"), np.searchsorted(w, hi, side="right")
+                return w[a:b], v[:, a:b]
+        pair = _interval_pairs(self.to_dia(), lo, hi)
+        object.__setattr__(self, "_eig", ((lo, hi), pair))
+        return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +266,114 @@ def _gershgorin(dia, ends):
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
+def _norm_bound(dia):
+    """A bound on ||H|| for one sector: max |lambda| over its Gershgorin
+    interval, but at least 2^-970, so that eps times it is a normal float."""
+    centre, half = _gershgorin(dia, [dia.shape[1]])
+    return max(abs(float(centre[0])) + float(half[0]), 2.0**-970)
+
+
+def _interval_pairs(dia, lo, hi):
+    """The eigenpairs of one sector with eigenvalue in [lo, hi], certified.
+
+    dia is the sector in DIA layout.  dsbevd gives every eigenvalue
+    (compute_v=0, eig_banded's call with eigvals_only=True), and each
+    eigenvalue in [lo, hi] its vector by inverse iteration on a banded LU
+    of H - sigma (dgbtrf, dgbtrs), as LAPACK's dstein does: from a seeded
+    random start, each solve's result is scaled to unit norm after the
+    vectors of eigenvalues within _CLUSTER ||H|| below its own are taken
+    out of it (twice, classical Gram-Schmidt), and a shift within
+    _PERTURB ||H|| of the previous one, or one whose factorization has a
+    zero, subnormal-sized or non-finite entry, is moved on.  With
+    slack = max(M + 1, 1/_CLUSTER) eps, the band product certifies each
+    pair: the vector is kept at its second iterate with
+    ||Hv - lambda v|| <= slack ||H||, which puts an eigenvalue of H within
+    that of lambda.  The block is then checked in column blocks:
+    max |V^T V - I| <= slack.  A failed certificate raises
+    EigensolverError.  Each pair returns the vector's Rayleigh quotient,
+    lambda + v^T (Hv - lambda v), whose residual is no larger than
+    lambda's: the eigenvalues of dsbevd's compute_v=0 path (dsterf) carry
+    several times the rounding of its compute_v=1 path, and the quotient
+    is as accurate as either.  Returns w ascending and v = (M + 1, w.size),
+    a transposed view of the row-major vectors.
+    """
+    n = dia.shape[1]
+    norm = _norm_bound(dia)
+    # dsbevd(compute_v=0) rescales a band of norm below about 1e-138 with a
+    # call that DLASCL rejects, and returns wrong eigenvalues; squared
+    # residuals of such a band underflow.  So a band outside 2^-400..2^400
+    # is solved scaled by a power of two, which is exact.
+    shift = 0 if 2.0**-400 <= norm <= 2.0**400 else math.frexp(norm)[1]
+    if shift:
+        dia, lo, hi, norm = (np.ldexp(a, -shift) for a in (dia, lo, hi, norm))
+    w, _, info = dsbevd(dia[[0, 2, 1]], compute_v=0, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise EigensolverError(f"dsbevd failed at M = {n - 1}: info {info}")
+    w = w[np.searchsorted(w, lo, side="left") : np.searchsorted(w, hi, side="right")].copy()
+    eps = 2.0 * _UNIT_ROUNDOFF
+    slack = max(n, 1.0 / _CLUSTER) * eps
+    perturb = _PERTURB * norm
+    rows, theta = np.empty((w.size, n)), np.empty(w.size)
+    general = dia[[4, 3, 0, 2, 1]]  # H in LAPACK's general band storage
+    band = np.zeros((7, n))  # dgbtrf's: kl = ku = 2 and 2 rows of fill
+    rng = np.random.default_rng(0)
+    hv = np.empty(n)
+    first, sigma = 0, -math.inf
+    for k, lam in enumerate(w):
+        while first < k and lam - w[first] > _CLUSTER * norm:
+            first += 1
+        near = rows[first:k]
+        sigma = max(lam, sigma + perturb)
+        for step in range(_INVIT_STEPS):
+            band[:2] = 0.0
+            band[2:] = general
+            band[4] -= sigma
+            lu, piv, info = dgbtrf(band, 2, 2, overwrite_ab=1)
+            if info < 0:
+                raise EigensolverError(f"dgbtrf rejected argument {-info}")
+            # A right-hand side scaled to perturb cannot overflow a solve
+            # unless a pivot is below perturb * eps: an exactly singular
+            # shift (info > 0), or one next to subnormal couplings, moves on.
+            if np.min(np.abs(lu[4])) >= perturb * eps and np.all(np.isfinite(lu)):
+                break
+            sigma += perturb * 2.0**step
+        x = rng.uniform(-1.0, 1.0, n)
+        passed = 0
+        for _ in range(_INVIT_STEPS):
+            x *= perturb / np.max(np.abs(x))
+            x, _ = dgbtrs(lu, 2, 2, x, piv, overwrite_b=1)
+            for _ in range(2 if k > first else 0):
+                x -= near.T @ (near @ x)
+            x /= math.sqrt(float(x @ x))
+            np.multiply(x, -lam, out=hv)
+            dia_matvec(n, n, 5, n, _OFFSETS, dia, x, hv)
+            if math.sqrt(float(hv @ hv)) <= slack * norm:
+                passed += 1
+                if passed == 2:
+                    break
+        else:
+            raise EigensolverError(
+                f"inverse iteration at {lam!r} (M = {n - 1}) left a residual "
+                f"{math.sqrt(float(hv @ hv)):.3e} above {slack * norm:.3e}"
+            )
+        rows[k] = x
+        theta[k] = lam + float(x @ hv)
+    defect = 0.0
+    for start in range(0, w.size, _TRACE_BLOCK):
+        gram = rows @ rows[start : start + _TRACE_BLOCK].T
+        gram[start + np.arange(gram.shape[1]), np.arange(gram.shape[1])] -= 1.0
+        defect = max(defect, float(np.max(np.abs(gram))))
+    if not defect <= slack:
+        raise EigensolverError(
+            f"eigenvectors at M = {n - 1} are orthogonal only to {defect:.3e}"
+        )
+    # Rounding may swap the quotients of two close eigenvalues.
+    if np.any(np.diff(theta) < 0.0):
+        order = np.argsort(theta, kind="stable")
+        theta, rows = theta[order], rows[order]
+    return np.ldexp(theta, shift), rows.T
+
+
 def _bessel_series(z):
     """J_k(z) for k = 0..K-1, z >= 0, and the tail 2*sum_{k>=K} |J_k(z)|.
 
@@ -280,6 +417,16 @@ def _bessel_series(z):
     return j[:k_stop], 2.0 * float(np.sum(np.abs(j[k_stop:])))
 
 
+def _factor_shifted(band, sign, sigma):
+    """(ab, chol, info): dpbtrf of sign*(sigma - H), H in lower band storage."""
+    ab = -sign * band
+    ab[0] += sign * sigma
+    chol, info = dpbtrf(ab, lower=1)
+    if info < 0:
+        raise IntegratorFailureError(f"dpbtrf rejected argument {-info}")
+    return ab, chol, info
+
+
 def _certify_end(band, gersh, sign):
     """A certified bound past one end of the spectrum of one H.
 
@@ -298,26 +445,45 @@ def _certify_end(band, gersh, sign):
     bottom with H - sigma*I and the smallest diagonal entry.  gersh =
     (centre, half-width) of the Gershgorin interval, whose end is the
     fallback and clips the bound.
+
+    When the Gershgorin end lies within the final bracket of the true
+    end, every factorization fails.  So the last point that such a run
+    would probe is factored first: every earlier probe lies deeper inside
+    the spectrum, so if that one fails they all would, and the Gershgorin
+    end is returned at once, the result the bisection would reach.  If
+    it succeeds, the bisection runs as before, one factorization later.
     """
     centre, half = gersh
     wall = centre + sign * half
     inner = sign * float(np.max(sign * band[0]))
+    # The probes of a bisection in which every factorization fails.
+    last, probe = None, inner
+    while sign * (wall - probe) > _BISECT_TOL * half:
+        sigma = 0.5 * (probe + wall)
+        if sigma == probe or sigma == wall:
+            break
+        last = probe = sigma
+    if last is None or _factor_shifted(band, sign, last)[2] != 0:
+        return wall  # no tighter end can be proven: Gershgorin's stands
     outer, proof = wall, None
     while sign * (outer - inner) > _BISECT_TOL * half:
         sigma = 0.5 * (inner + outer)
         if sigma == inner or sigma == outer:
             break  # the bracket is down to round-off
-        ab = -sign * band  # lower band storage of sign*(sigma - H)
-        ab[0] += sign * sigma
-        chol, info = dpbtrf(ab, lower=1)
-        if info < 0:
-            raise IntegratorFailureError(f"dpbtrf rejected argument {-info}")
+        ab, chol, info = _factor_shifted(band, sign, sigma)
         if info == 0:
             outer, proof = sigma, (ab, chol)
         else:
             inner = sigma
     if proof is None:
         return wall  # no tighter end proven: Gershgorin's stands
+    return _proven_end(proof, outer, wall, sign)
+
+
+def _proven_end(proof, outer, wall, sign):
+    """The end that a completed factorization proof = (ab, chol) of
+    sign*(outer - H) proves: outer plus its backward error, or wall if
+    that does not lie inside it."""
     ab, chol = proof
     # The largest row sum of |L| |L^T|.
     mag = np.abs(chol)
@@ -544,54 +710,87 @@ def _check_phases(rate, times):
         )
 
 
-def _trace_window(cr, ci, m_total):
-    """The narrowest eigen-index window [a, b) the trace may keep, and its bound.
+def _moment_window(h, s0):
+    """An energy interval that holds all but delta^2 of the weight of s0, and delta^2.
 
-    With q_k = cr_k^2 + ci_k^2 the start state's weight on eigenmode k,
-    delta^2 = sum_{k<a} q_k + sum_{k>=b} q_k is the weight left out, each
-    part summed from its own end (1 - kept would cancel).  Writing the
-    evolved state as psi_S + psi_D with |psi_D| = delta and |psi_S| <= r,
-    the norm of the start state, |<N>_psi - <N>_psi_S| <= 2|<psi_S|N|psi_D>|
-    + <psi_D|N|psi_D> <= M*delta*(2r + delta) at every t, since |N| = M.
-    Returns a, b and that bound, which is at most _WINDOW_TOL.
+    With E the mean energy of s0 and q_k its weight on eigenvalue
+    lambda_k, the weight outside [E - R, E + R] is at most
+    mu_2m / R^(2m), where mu_2m = ||(H - E)^m s0||^2 = sum_k q_k
+    (lambda_k - E)^(2m).  So R = (mu_2m / delta^2)^(1/(2m)), least over m,
+    leaves out at most delta^2, which is half the budget that keeps
+    M*delta*(2r + delta) <= _WINDOW_TOL for r = ||s0||: the other half
+    absorbs the rounding of the norms and of that arithmetic.  Each
+    computed x_m = (H - E) x_{m-1} is off from the exact one by at most
+    b_m = |H - E| (b_{m-1} + gamma |x_{m-1}|) componentwise, gamma = 7 eps
+    covering the five-term band product and the shifted diagonal, so
+    ||x_m|| + ||b_m|| bounds the square root of mu_2m.  Both are rescaled by
+    powers of two, which is exact, and R_m, quasi-convex in m because
+    log mu_2m is convex, is followed to its first rise.  The interval is
+    widened by (M + 1) eps ||H|| on each side to take in the rounding of
+    the computed eigenvalues.  Returns lo, hi and delta^2.
     """
-    q = cr**2 + ci**2
-    below = np.concatenate(([0.0], np.cumsum(q)))  # below[a] = sum_{k<a} q_k
-    above = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sum_{k>=b} q_k
-    r = math.sqrt(float(below[-1]))
-    x = _WINDOW_TOL / m_total
-    # The delta at which the bound reaches _WINDOW_TOL, written without
-    # cancellation.
-    budget = (x / (r + math.sqrt(r * r + x))) ** 2
-    a = np.flatnonzero(below <= budget)
-    # For each a the smallest b >= a whose tail fits in what a leaves over.
-    b = np.maximum(np.searchsorted(-above, below[a] - budget, side="left"), a)
-    delta = np.sqrt(below[a] + above[b])
-    bound = m_total * delta * (2.0 * r + delta)
-    # Rounding may put a pair a hair over the budget; it drops out.
-    fits = np.flatnonzero(bound <= _WINDOW_TOL)
-    i = fits[np.argmin(b[fits] - a[fits])]
-    return int(a[i]), int(b[i]), float(bound[i])
+    dia = h.to_dia()
+    norm = _norm_bound(dia)
+    shift = math.frexp(norm)[1]  # H runs scaled by 2^-shift, exactly
+    parts = [p for p in (s0.amplitudes.real, s0.amplitudes.imag) if np.any(p)]
+    # The real and imaginary parts run as two sectors of one stacked band.
+    band = np.ldexp(np.tile(dia, (1, len(parts))), -shift)
+    x = np.concatenate(parts)
+    n = x.size
+    hx = np.zeros(n)
+    dia_matvec(n, n, 5, n, _OFFSETS, band, x, hx)
+    r2 = float(x @ x)
+    energy = float(x @ hx) / r2
+    budget = _WINDOW_TOL / h.m_total
+    delta2 = 0.5 * (budget / (math.sqrt(r2) + math.sqrt(r2 + budget))) ** 2
+    band[0] -= energy
+    mag = np.abs(band)
+    gamma = 7.0 * _UNIT_ROUNDOFF / (1.0 - 7.0 * _UNIT_ROUNDOFF)
+    b = np.zeros(n)
+    log_scale = 0  # x and b are the computed ones divided by 2^log_scale
+    best = math.inf
+    for m in range(1, n + 1):
+        y, c = np.zeros(n), np.abs(x)
+        dia_matvec(n, n, 5, n, _OFFSETS, band, x, y)
+        c *= gamma
+        c += b
+        b = np.zeros(n)
+        dia_matvec(n, n, 5, n, _OFFSETS, mag, c, b)
+        top = max(float(np.max(np.abs(y))), float(np.max(b)))
+        if top == 0.0:
+            best = -math.inf  # s0 is an eigenvector with eigenvalue E
+            break
+        # Rescaled so that the largest entry is in [1/2, 1): no square
+        # in the norms below underflows or overflows.
+        step = math.frexp(top)[1]
+        x, b = np.ldexp(y, -step), np.ldexp(b, -step)
+        log_scale += step
+        bound = math.sqrt(float(x @ x)) + math.sqrt(float(b @ b))
+        log_r = (math.log(bound) + log_scale * math.log(2.0)) / m - math.log(delta2) / (2 * m)
+        if log_r > best:
+            break
+        best = log_r
+    radius = math.ldexp(math.exp(best), shift)
+    energy = math.ldexp(energy, shift)
+    margin = (h.m_total + 1) * 2.0 * _UNIT_ROUNDOFF * norm
+    return energy - radius - margin, energy + radius + margin, delta2
 
 
 def mean_n1_trace(h, s0, times):
     """<n1>(t) sampled at the given times.
 
-    Up to M = _EIG_LIMIT the trace projects s0 on the cached eigensystem and
-    keeps only the contiguous window of eigenmodes that s0 occupies: the
-    weight left out, delta^2, keeps M*(2*delta + delta^2) <= _WINDOW_TOL
-    for a unit s0, which bounds the change of every sample (see
-    _trace_window, which uses the norm of s0 in place of 1).  The number
-    operator is projected on the window once, N_W = v_W^T diag(n) v_W, so
-    each block of samples costs two window x window products instead of
-    two dimension x window ones.  Forming N_W costs about (M+1) W^2
-    multiply-adds up front, so this gains only when the samples are many
-    next to the window W: roughly more than W/2 to W of them (measured,
-    one core: criterion 2's M = 1000, W = 225 traces of 401 and 2048
-    samples gain; at M = 4000, W = 1915 a 401-sample trace loses about
-    1 s beside 36 s of dsbevd).  Above _EIG_LIMIT it steps the Chebyshev
-    propagator through the sorted times.  As mean_n1_analytic, it returns a
-    float for a scalar time and an array of the shape of times otherwise.
+    Up to M = _EIG_LIMIT the trace takes the eigenpairs of the one energy
+    window that s0 occupies (_moment_window: the weight left out, delta^2,
+    keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a unit s0, which bounds
+    the change of every sample) from h.eigensystem(lo, hi), which computes
+    the window's eigenvectors only.  The number operator is projected on
+    the window once, N_W = v_W^T diag(n) v_W, so each block of samples
+    costs two window x window products instead of two dimension x window
+    ones.  Forming N_W costs about (M+1) W^2 multiply-adds up front, so
+    this gains only when the samples are many next to the window W.  Above
+    _EIG_LIMIT it steps the Chebyshev propagator through the sorted times.
+    As mean_n1_analytic, it returns a float for a scalar time and an array
+    of the shape of times otherwise.
     """
     _check_state(h, s0)
     times = _times(times)
@@ -600,19 +799,17 @@ def mean_n1_trace(h, s0, times):
     out = np.empty(times.shape)
     if h.m_total <= _EIG_LIMIT:
         # In the window, <N>(t) = x_r^T N_W x_r + x_i^T N_W x_i with
-        # N_W = v_W^T diag(n) v_W and x = exp(-iwt) c0 split into its real
+        # N_W = v^T diag(n) v and x = exp(-iwt) c0 split into its real
         # and imaginary parts, so v is never copied to complex.  N_W is
-        # summed over row blocks of v_W, and the samples go in blocks, so
-        # no (dimension x window) or (dimension x samples) array is held.
-        w, v = h.eigensystem()
-        _check_phases(float(np.max(np.abs(w))), times)
+        # summed over row blocks of v, and the samples go in blocks, so
+        # no (dimension x samples) array is held.
+        w, v = h.eigensystem(*_moment_window(h, s0)[:2])
+        _check_phases(float(np.max(np.abs(w), initial=0.0)), times)
         cr = v.T @ s0.amplitudes.real
         ci = v.T @ s0.amplitudes.imag
-        a, b, _ = _trace_window(cr, ci, h.m_total)
-        w, cr, ci = w[a:b], cr[a:b], ci[a:b]
-        number = np.zeros((b - a, b - a))
+        number = np.zeros((w.size, w.size))
         for lo in range(0, n.size, _TRACE_BLOCK):
-            rows = v[lo : lo + _TRACE_BLOCK, a:b]
+            rows = v[lo : lo + _TRACE_BLOCK]
             number += rows.T @ (n[lo : lo + _TRACE_BLOCK, None] * rows)
         for lo in range(0, times.size, _TRACE_BLOCK):
             phase = np.outer(w, times[lo : lo + _TRACE_BLOCK])

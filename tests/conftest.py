@@ -29,6 +29,12 @@ def case1000():
 
 
 @pytest.fixture(scope="session")
+def case10000():
+    dp, grid, gm, m1, coeffs = oracles.solve_case(1.0e4)
+    return {"dp": dp, "grid": grid, "gm": gm, "m1": m1, "coeffs": coeffs}
+
+
+@pytest.fixture(scope="session")
 def case100():
     dp, grid, gm, m1, coeffs = oracles.solve_case(100.0)
     return {"dp": dp, "grid": grid, "gm": gm, "m1": m1, "coeffs": coeffs}

@@ -4,7 +4,8 @@ The dense two-mode Hamiltonian here is built from raw creation/annihilation
 matrices on a tensor-product Fock space and restricted to the fixed-total
 subspace afterwards.  It shares no code with the banded builder, so matching
 it entry-for-entry checks the operator algebra behind the matrix elements.
-spectrum_oracle takes a Hamiltonian's spectrum to 40 digits with mpmath;
+spectrum_oracle takes a Hamiltonian's spectrum, and on request its
+eigenvectors, to 40 digits with mpmath;
 dominant_frequency reads the strongest spectral line of a sampled trace;
 gpe_residual and the distribution moments restate, for the tests, numbers
 the program computes inside its solvers.
@@ -115,15 +116,23 @@ def dense_h01_oracle(coeffs, m_total):
     return h[np.ix_(idx, idx)]
 
 
-def spectrum_oracle(h):
+def spectrum_oracle(h, vectors=False):
     """The eigenvalues of h.to_dense() to 40 digits, ascending (mpmath.eigsy).
 
     The double matrix elements are taken as exact, so this is the spectrum
-    that any interval certified for them must hold.
+    that any interval certified for them must hold.  With vectors=True it
+    returns the eigenvalues and the matrix whose k-th column is the unit
+    eigenvector of the k-th, also to 40 digits.
     """
     with mpmath.workdps(40):
-        w = mpmath.eigsy(mpmath.matrix(h.to_dense()), eigvals_only=True)
-        return sorted(w)
+        if not vectors:
+            return sorted(mpmath.eigsy(mpmath.matrix(h.to_dense()), eigvals_only=True))
+        w, v = mpmath.eigsy(mpmath.matrix(h.to_dense()))
+        order = sorted(range(len(w)), key=lambda k: w[k])
+        cols = mpmath.matrix(v.rows, v.cols)
+        for j, k in enumerate(order):
+            cols[:, j] = v[:, k]
+        return [w[k] for k in order], cols
 
 
 def dominant_frequency(times, values):

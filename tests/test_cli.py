@@ -523,10 +523,10 @@ def test_public_names_resolve_lazily():
 
 
 def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
-    # The two-mode stage takes dsbevd, dpbtrf and dia_matvec from scipy's
-    # two extension modules and no scipy package, and every ground solve
-    # runs on the dptsv of the same LAPACK extension.  No request imports a
-    # scipy package.
+    # The two-mode stage takes dsbevd, dgbtrf, dgbtrs, dpbtrf and dia_matvec
+    # from scipy's two extension modules and no scipy package, and every
+    # ground solve runs on the dptsv of the same LAPACK extension.  No
+    # request imports a scipy package.
     code = (
         "import sys, bogodense; bogodense.ProtocolConfig; from bogodense import gpe; "
         "print(gpe.dptsv is sys.modules['scipy.linalg._flapack'].dptsv)"
@@ -555,10 +555,10 @@ def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
 
 
 # The --help texts of the tree before the CLI's imports became per
-# command; `dynamics --help` names the eigenvector cap, which no longer
-# comes from twomode, and the epilog no longer excepts the bdg mode
-# profiles from its thread-count promise.  argparse's layout at 80
-# columns, Python 3.11.
+# command; `dynamics --help` names the eigensolver limit, which no longer
+# comes from twomode and no longer prices an (M + 1)^2 eigenvector matrix,
+# and the epilog no longer excepts the bdg mode profiles from its
+# thread-count promise.  argparse's layout at 80 columns, Python 3.11.
 HELP = """\
 usage: bogodense [-h] {ground,modes,dynamics,bdg,protocol,figure1} ...
 
@@ -610,8 +610,8 @@ options:
   --t-max T_MAX         trace length [1/omega] (default one period)
   --steps STEPS         number of sample rows
   --mode {exact,analytic,both}
-                        which traces to emit (exact needs M <= 4000, the dense
-                        eigenvector cap)
+                        which traces to emit (exact needs M <= 4000, the
+                        eigensolver limit)
 
 physical parameters:
   --config PATH         key = value config file
@@ -641,14 +641,14 @@ def test_help_text_is_unchanged():
 
 
 def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
-    # The default M = round(nbar) = 1e5 is beyond the dense eigenvector cap
-    # of the sampled trace: exact traces are refused up front, the analytic
+    # The default M = round(nbar) = 1e5 is beyond the eigensolver limit of
+    # the sampled trace: exact traces are refused up front, the analytic
     # law still runs there.
     for mode in ("exact", "both"):
         assert main(["dynamics", "--grid-points", "800", "--mode", mode]) == 1
         err = capsys.readouterr().err
         assert "[unsupported-regime]" in err and "--mode analytic" in err
-        assert "dense eigenvector cap 4000 (128 MB)" in err
+        assert "eigensolver limit 4000;" in err
     args = ["dynamics", "--grid-points", "800", "--steps", "5", "--mode", "analytic"]
     assert main(args) == 0
     out = capsys.readouterr().out

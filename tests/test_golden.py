@@ -37,7 +37,7 @@ GOLDEN = {
     ),
     "dynamics": (
         ["dynamics", *F],
-        "d2a2eddf35ffdccf23a29191f0b1f52835c3d794659a29884578c71e868b920c",
+        "0d26cdc2d3cf4dd1a1f10c53d568812505d36eea4cd005003dc6410659cafce1",
         "4204d628b8422cd0804ac203938e9cf6c25524dedd02e562ab57a62f4a7ec4b2",
     ),
     "protocol twopoint:80,120": (

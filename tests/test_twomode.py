@@ -226,21 +226,25 @@ def test_norm_conservation_both_paths(case1000):
     assert abs(total - 1000.0) < 1e-8
 
 
-def test_spectral_evolution_keeps_eigenvectors_real(case1000):
-    # A complex operand would make numpy copy the 8 MB real eigenvector
-    # matrix to a 16 MB complex one on each product of the spectral trace;
-    # the Chebyshev propagator holds a few vectors of M + 1 numbers.
+def test_trace_from_a_fresh_hamiltonian_stays_small(case1000):
+    # The trace solves the eigenvectors of its start state's energy window
+    # only: from a fresh H at M = 1000, eigen-solve included, it peaks
+    # below 8 MB (all 1001 eigenvectors took 8 MB and dsbevd's work arrays
+    # for them 24 MB).  The Chebyshev propagator then holds a few vectors
+    # of M + 1 numbers beside the cached window.
     h = build_h01(case1000["coeffs"], 1000)
-    h.eigensystem()
     s0 = fock_state(1000, 0)
     tracemalloc.start()
     try:
         mean_n1_trace(h, s0, np.linspace(0.0, 0.3, 8))
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         evolve_exact(h, s0, 0.3)
-        _, peak = tracemalloc.get_traced_memory()
+        _, peak_evolve = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 8 << 20
+    assert peak_evolve - held < 1 << 20
 
 
 def test_large_branch_matches_eigensolution(case100):
@@ -626,6 +630,72 @@ def test_diagonal_hamiltonian_needs_no_factorization(monkeypatch):
     assert infos == []
 
 
+def _bisect_every_probe(band, gersh, sign):
+    """_certify_end without its first factorization: the plain bisection."""
+    centre, half = gersh
+    wall = centre + sign * half
+    inner = sign * float(np.max(sign * band[0]))
+    outer, proof = wall, None
+    while sign * (outer - inner) > twomode._BISECT_TOL * half:
+        sigma = 0.5 * (inner + outer)
+        if sigma == inner or sigma == outer:
+            break
+        ab, chol, info = twomode._factor_shifted(band, sign, sigma)
+        if info == 0:
+            outer, proof = sigma, (ab, chol)
+        else:
+            inner = sigma
+    return wall if proof is None else twomode._proven_end(proof, outer, wall, sign)
+
+
+def _refusals_per_end(monkeypatch, certify_end, dia):
+    """(_certified(dia), dpbtrf refusals at the bottom and at the top end)."""
+    infos = _record_dpbtrf(monkeypatch)
+    ends = []
+
+    def counted(band, gersh, sign):
+        start = len(infos)
+        out = certify_end(band, gersh, sign)
+        ends.append(sum(info > 0 for info in infos[start:]))
+        return out
+
+    monkeypatch.setattr(twomode, "_certify_end", counted)
+    out = twomode._certified(dia)
+    monkeypatch.undo()
+    return out, ends
+
+
+@pytest.mark.parametrize("case", ["case1000", "case10000"])
+def test_refused_bisection_stops_at_its_first_factorization(request, monkeypatch, case):
+    # At M = 5000 the Gershgorin end of the top lies within the final
+    # bracket of the true end (nbar = 1000, and evolve_large's nbar = 1e4),
+    # so every one of the bisection's 10 factorizations there was refused.
+    # The last of them is now factored first: refused, it ends the top at
+    # once.  The bottom ends bisect as before (3 and 5 refusals), after a
+    # first factorization that succeeds.
+    dia = build_h01(request.getfixturevalue(case)["coeffs"], 5000).to_dia()
+    old, (old_bottom, old_top) = _refusals_per_end(monkeypatch, _bisect_every_probe, dia)
+    new, (bottom, top) = _refusals_per_end(monkeypatch, twomode._certify_end, dia)
+    assert old_top == 10 and top == 1
+    assert bottom == old_bottom <= 5
+    assert new == old
+
+
+def test_certified_bytes_unchanged_over_protocol_sectors(case1000, case10000):
+    # The first factorization only skips probes whose refusal it proves,
+    # so _certified returns the plain bisection's bytes: over the top
+    # sectors of a protocol at n0 = 1000 (m_max = 1190) and at M = 5000.
+    sectors = [(case1000, m) for m in range(1000, 1191, 10)]
+    sectors += [(case1000, 5000), (case10000, 5000)]
+    for case, m in sectors:
+        dia = build_h01(case["coeffs"], m).to_dia()
+        band = dia[[0, 2, 1]]
+        centre, half = _gershgorin(build_h01(case["coeffs"], m))
+        old = [_bisect_every_probe(band, (centre, half), sign) for sign in (-1.0, 1.0)]
+        new = [twomode._certify_end(band, (centre, half), sign) for sign in (-1.0, 1.0)]
+        assert np.array(new).tobytes() == np.array(old).tobytes(), m
+
+
 @pytest.mark.parametrize("bad", ["1", None, 1j, [0.0, "1"], [0.0, math.nan], math.inf])
 def test_trace_refuses_non_real_times(case100, bad):
     # "1" was read as t = 1 and gave <n1> = 3.16; evolve_exact refuses it.
@@ -723,6 +793,26 @@ def test_trace_keeps_the_shape_of_times(case100, monkeypatch, limit):
     assert mean_n1_trace(h, s0, np.empty((0, 3))).shape == (0, 3)
 
 
+def _check_windowed_trace(h, amp, times):
+    """The trace against dense eigh's, and the moment window's bound on it."""
+    m = h.m_total
+    w, v = np.linalg.eigh(h.to_dense())
+    c = v.T @ amp
+    # v is real: the real and imaginary parts are propagated apart, so
+    # numpy never copies v to complex.
+    x = np.exp(-1j * np.outer(w, times)) * c[:, None]
+    want = np.arange(m + 1.0) @ ((v @ x.real) ** 2 + (v @ x.imag) ** 2)
+    got = mean_n1_trace(h, TwoModeState(amp), times)
+    assert np.max(np.abs(got - want)) <= 1e-12 + 1e-14 * m
+    # The weight outside the window, summed over dense eigh's modes, is
+    # within the moment bound delta^2, whose bound on <n1> holds.
+    lo, hi, delta2 = twomode._moment_window(h, TwoModeState(amp))
+    q = np.abs(c) ** 2
+    assert float(np.sum(q[(w < lo) | (w > hi)])) <= delta2
+    delta = math.sqrt(delta2)
+    assert m * delta * (2.0 + delta) <= twomode._WINDOW_TOL
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 150),
@@ -736,53 +826,115 @@ def test_trace_keeps_the_shape_of_times(case100, monkeypatch, limit):
     occupied=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
+# Reducible Hamiltonians: at g01 = 0 only the pair term couples, and the
+# even and odd n decouple.  With gamma = 1/32 and M = 3 two eigenvalues of
+# the two halves coincide, and at gamma = 0 H is diagonal, so a shift at
+# an eigenvalue is exactly singular.  Inverse iteration without cluster
+# handling gave an orthogonality defect of 1.0 on the first and a NaN
+# residual on the second.
+@example(m=3, gamma=1 / 32, mu=0.0, mu1=0.0, g01=0.0, alpha2=0.1, nbar=0.0,
+         t_max=3.0, occupied=4, seed=1)
+@example(m=1, gamma=0.0, mu=0.0, mu1=0.5, g01=0.0, alpha2=0.1, nbar=0.0,
+         t_max=3.0, occupied=2, seed=2)
 def test_windowed_trace_matches_dense_eigh(
     m, gamma, mu, mu1, g01, alpha2, nbar, t_max, occupied, seed
 ):
     # A complex start on a few Fock states occupies few eigenmodes, so the
     # window cuts; the dense trace keeps every mode.
     co = synthetic_coeffs(gamma=gamma, mu=mu, mu1=mu1, g01=g01, alpha2=alpha2, nbar=nbar)
-    h = build_h01(co, m)
     rng = np.random.default_rng(seed)
     amp = np.zeros(m + 1, dtype=complex)
     at = rng.choice(m + 1, size=min(occupied, m + 1), replace=False)
     amp[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
     amp /= np.linalg.norm(amp)
     times = np.concatenate(([0.0], np.sort(rng.uniform(-t_max, t_max, 20))))
-    w, v = np.linalg.eigh(h.to_dense())
-    c = v.T @ amp
-    n = np.arange(m + 1.0)
-    want = [n @ np.abs(v @ (np.exp(-1j * w * t) * c)) ** 2 for t in times]
-    got = mean_n1_trace(h, TwoModeState(amp), times)
-    assert np.max(np.abs(got - want)) <= 1e-12 + 1e-14 * m
-    # The discarded weight is summed from the two ends of the cached
-    # eigensystem's coefficients, and its bound on <n1> holds.
-    wb, vb = h.eigensystem()
-    cr, ci = vb.T @ amp.real, vb.T @ amp.imag
-    a, b, bound = twomode._trace_window(cr, ci, m)
-    q = cr**2 + ci**2
-    delta = math.sqrt(float(np.sum(q[:a]) + np.sum(q[b:])))
-    assert bound <= 1e-12
-    assert m * (2.0 * delta + delta**2) == pytest.approx(bound, rel=1e-9, abs=1e-30)
+    _check_windowed_trace(build_h01(co, m), amp, times)
+
+
+def test_windowed_trace_at_twice_criterion_two_size(case1000):
+    # |M, 0> at nbar = 1000, M = 2000 takes 832 eigenpairs, where two fixed
+    # inverse-iteration steps left |V^T V - I| = 1.1e-9.  The times stay
+    # within 0.1: at |H| = 1.8e4 the eigenvalues of dense eigh and of
+    # dsbevd differ by 1e-10, and by t ~ 1 that alone moves <n1> by 2e-11
+    # to 2.4e-10, beyond the tolerance, at the parent's dsbevd too.
+    h = build_h01(case1000["coeffs"], 2000)
+    amp = np.zeros(2001, dtype=complex)
+    amp[0] = 1.0
+    _check_windowed_trace(h, amp, np.linspace(-0.1, 0.1, 21))
+    w, v = h._eig[1]
+    gram = v.T @ v - np.eye(w.size)
+    assert w.size == 832 and np.max(np.abs(gram)) <= 2001 * 2.0**-52
+
+
+@pytest.mark.parametrize("m", [30, 60])
+def test_moment_window_holds_the_40_digit_weights(m):
+    # Against the 40-digit eigenpairs: the start weight outside the window
+    # is within the moment bound, that bound keeps M*delta*(2r + delta)
+    # within _WINDOW_TOL, and every mode that carries more than the budget
+    # lies inside.
+    co = synthetic_coeffs(gamma=0.003, mu=1.0, mu1=2.0, g01=0.002, alpha2=0.3, nbar=20.0)
+    h = build_h01(co, m)
+    w, v = spectrum_oracle(h, vectors=True)
+    lo, hi, delta2 = twomode._moment_window(h, fock_state(m, 0))
+    with mpmath.workdps(40):
+        q = [v[0, k] ** 2 for k in range(m + 1)]
+        outside = [k for k in range(m + 1) if w[k] < lo or w[k] > hi]
+        assert mpmath.fsum(q[k] for k in outside) <= delta2
+        assert all(q[k] <= delta2 for k in outside)
+    delta = math.sqrt(delta2)
+    assert m * delta * (2.0 + delta) <= twomode._WINDOW_TOL
+    assert 0 < len(outside) < m + 1  # the window cuts
 
 
 def test_window_engages_at_criterion_two_shape(case1000):
     # |M, 0> at M = nbar = 1000 occupies a few percent of the eigenmodes
-    # above 1e-14; the trace samples at most a third of them.
+    # above 1e-14; the moment window keeps at most a third of them (308,
+    # with the weights of dense eigh outside it within its bound).
     h = build_h01(case1000["coeffs"], 1000)
-    w, v = h.eigensystem()
-    a, b, bound = twomode._trace_window(v[0], np.zeros(1001), 1000)
-    assert 0 < b - a <= 1001 // 3
-    assert bound <= 1e-12
+    lo, hi, delta2 = twomode._moment_window(h, fock_state(1000, 0))
+    w, v = np.linalg.eigh(h.to_dense())
+    q = v[0] ** 2
+    inside = (w >= lo) & (w <= hi)
+    assert 0 < np.count_nonzero(inside) <= 1001 // 3
+    assert float(np.sum(q[~inside])) <= delta2
+    assert np.all(q[~inside] <= delta2)
+    delta = math.sqrt(delta2)
+    assert 1000 * delta * (2.0 + delta) <= twomode._WINDOW_TOL
 
 
 @pytest.mark.parametrize("m_total", [100, 1000])
-def test_eigensystem_is_eig_banded_to_the_byte(case1000, m_total):
-    # eigensystem calls LAPACK's dsbevd with the arguments eig_banded
-    # passes it, so w and v are scipy's to the byte.
+def test_eigensystem_pairs_match_eig_banded_and_eigh(case1000, m_total):
+    # dsbevd's eigenvalues, with the arguments eig_banded passes it for
+    # eigvals_only=True, choose the pairs; each returned eigenvalue is its
+    # vector's Rayleigh quotient, within the certified residual bound
+    # slack*|H| (slack = max(M + 1, 1000) eps) of dsbevd's.  The vectors
+    # match dense eigh up to sign within Davis-Kahan's bound: both
+    # residuals are at most slack*|H|, so each pair of unit vectors is
+    # within 2*slack*|H|/gap, doubled here for eigh's own.
     h = build_h01(case1000["coeffs"], m_total)
-    want = eig_banded(h.to_dia()[[0, 2, 1]], lower=True)
-    assert [a.tobytes() for a in h.eigensystem()] == [a.tobytes() for a in want]
+    want = eig_banded(h.to_dia()[[0, 2, 1]], lower=True, eigvals_only=True)
+    w, v = h.eigensystem()
+    slack = max(m_total + 1, 1000) * 2.0**-52 * twomode._norm_bound(h.to_dia())
+    assert w.size == m_total + 1 and np.all(np.abs(w - want) <= slack)
+    we, ve = np.linalg.eigh(h.to_dense())
+    gaps = np.minimum(np.diff(we, prepend=-np.inf), np.diff(we, append=np.inf))
+    sign = np.sign(np.sum(v * ve, axis=0))
+    assert np.all(np.linalg.norm(v * sign - ve, axis=0) <= 4.0 * slack / gaps)
+    # An interval picks dsbevd's eigenvalues in it, and a sub-interval of
+    # the cached one is served by slicing at the returned eigenvalues.
+    lo, hi = want[10], want[20]
+    fresh = build_h01(case1000["coeffs"], m_total).eigensystem(lo, hi)
+    assert fresh[0].size == np.count_nonzero((want >= lo) & (want <= hi)) == 11
+    sub = h.eigensystem(w[12], w[18])
+    assert np.array_equal(sub[0], w[12:19]) and np.shares_memory(sub[1], v)
+
+
+def test_eigensystem_interval_is_checked():
+    h = build_h01(GENERIC, 6)
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(InvalidParameterError, match="interval"):
+            h.eigensystem(lo, hi)
+    assert h._eig is None
 
 
 def test_eigensolver_failure_is_categorized(monkeypatch):
@@ -790,12 +942,51 @@ def test_eigensolver_failure_is_categorized(monkeypatch):
     # eigensystem refuses it and caches nothing.
     def failed(band, **kwargs):
         n = band.shape[1]
-        return np.zeros(n), np.zeros((n, n)), 1
+        return np.zeros(n), np.zeros((1, 1)), 1
 
     monkeypatch.setattr(twomode, "dsbevd", failed)
     h = build_h01(GENERIC, 6)
     with pytest.raises(EigensolverError, match="dsbevd failed at M = 6: info 1") as err:
         h.eigensystem()
+    assert err.value.category == "eigensolver-failure"
+    assert h._eig is None
+
+
+def test_singular_shift_moves_on(monkeypatch):
+    # An exactly singular H - sigma (dgbtrf info > 0) moves the shift on and
+    # factors again.  A diagonal H makes every shift at an eigenvalue
+    # singular; the first factorization is also reported singular here.
+    calls = []
+    dgbtrf = twomode.dgbtrf
+
+    def singular_first(band, kl, ku, overwrite_ab):
+        lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=overwrite_ab)
+        calls.append(info)
+        return lu, piv, info if len(calls) > 1 else 1
+
+    monkeypatch.setattr(twomode, "dgbtrf", singular_first)
+    co = synthetic_coeffs(gamma=0.0, g01=0.0, mu=0.9, mu1=1.7, nbar=3.0)
+    h = build_h01(co, 6)
+    w, v = h.eigensystem()
+    assert len(calls) > w.size and any(info > 0 for info in calls[1:])
+    assert np.array_equal(w, np.sort(h.diag))
+    assert np.allclose(np.abs(v), np.eye(7)[:, np.argsort(h.diag)], atol=1e-12)
+
+
+@pytest.mark.parametrize("broken", ["residual", "orthogonality"])
+def test_failed_certificate_raises_and_caches_nothing(monkeypatch, broken):
+    if broken == "residual":
+        # Solves that return their right-hand side never converge.
+        monkeypatch.setattr(twomode, "dgbtrs", lambda lu, kl, ku, b, piv, overwrite_b: (b, 0))
+        h, match = build_h01(GENERIC, 6), "left a residual"
+    else:
+        # H = 6 I: every vector is an eigenvector, and without
+        # reorthogonalization the random starts stay far from orthogonal.
+        monkeypatch.setattr(twomode, "_CLUSTER", -1.0)
+        h = build_h01(synthetic_coeffs(mu=1.0, mu1=1.0), 6)
+        match = "orthogonal only to"
+    with pytest.raises(EigensolverError, match=match) as err:
+        mean_n1_trace(h, fock_state(6, 1), [0.5])
     assert err.value.category == "eigensolver-failure"
     assert h._eig is None
 
