@@ -46,6 +46,10 @@ _WINDOW_TOL = 1e-12
 # of its window's number operator: a block holds a few window x
 # _TRACE_BLOCK real arrays, small next to the (M+1) x window eigenvectors.
 _TRACE_BLOCK = 64
+# The moment window's radius R_m has stalled once it falls by less than
+# 1 % in a step; a start spread over the whole spectrum would otherwise
+# run all 2(M + 1) steps.
+_STALL = math.log(0.99)
 # Inverse iteration, after LAPACK's dstein, for the eigenvectors of an
 # eigenvalue interval.  Relative to a bound ||H|| on the norm: shifts
 # closer than _PERTURB are moved apart (and an exactly singular one is
@@ -58,6 +62,9 @@ _TRACE_BLOCK = 64
 _PERTURB = 10.0 * 2.0**-52
 _CLUSTER = 1e-3
 _INVIT_STEPS = 5
+# The multipliers of _start_vector's hash, SplitMix64's (Steele, Lea &
+# Flood, OOPSLA 2014).
+_START_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 # Elements per stacked Chebyshev recursion: sectors are packed into vectors
 # of at most this length n, so its work arrays (the (5, n) DIA band and its
 # negation, the S_{k-1} and S_k rows, the (2, n) accumulator and one
@@ -273,20 +280,44 @@ def _norm_bound(dia):
     return max(abs(float(centre[0])) + float(half[0]), 2.0**-970)
 
 
+def _start_vector(k, n):
+    """The inverse-iteration start of the k-th vector of length n.
+
+    Entry j hashes the counter c = k n + j + 1 by two xorshift-multiply
+    rounds, z = c a, z ^= z >> 31, z *= b, z ^= z >> 29 (mod 2^64; a, b
+    = _START_MIX), and maps its top 53 bits to [-1, 1).  The start is
+    fixed, as dstein's starts from dlarnv with a fixed seed are, and no
+    pseudo-random generator is loaded.  Integer arithmetic is exact, so
+    every platform gets the same start.  A hash, not a low-discrepancy
+    lattice: the R2 sequence's starts are shifts of one sequence, and 101
+    of them of length 101 span only 90 dimensions, while these are as
+    well conditioned as uniform random ones (condition number 4e2).
+    """
+    z = np.arange(k * n + 1, (k + 1) * n + 1, dtype=np.uint64)
+    z *= _START_MIX[0]
+    z ^= z >> np.uint64(31)
+    z *= _START_MIX[1]
+    z ^= z >> np.uint64(29)
+    x = (z >> np.uint64(11)).astype(float)
+    x *= 2.0**-52
+    x -= 1.0
+    return x
+
+
 def _interval_pairs(dia, lo, hi):
     """The eigenpairs of one sector with eigenvalue in [lo, hi], certified.
 
     dia is the sector in DIA layout.  dsbevd gives every eigenvalue
     (compute_v=0, eig_banded's call with eigvals_only=True), and each
     eigenvalue in [lo, hi] its vector by inverse iteration on a banded LU
-    of H - sigma (dgbtrf, dgbtrs), as LAPACK's dstein does: from a seeded
-    random start, each solve's result is scaled to unit norm after the
-    vectors of eigenvalues within _CLUSTER ||H|| below its own are taken
-    out of it (twice, classical Gram-Schmidt), and a shift within
-    _PERTURB ||H|| of the previous one, or one whose factorization has a
-    zero, subnormal-sized or non-finite entry, is moved on.  With
-    slack = max(M + 1, 1/_CLUSTER) eps, the band product certifies each
-    pair: the vector is kept at its second iterate with
+    of H - sigma (dgbtrf, dgbtrs), as LAPACK's dstein does: from a fixed
+    pseudo-random start (_start_vector), each solve's result is scaled to
+    unit norm after the vectors of eigenvalues within _CLUSTER ||H|| below
+    its own are taken out of it (twice, classical Gram-Schmidt), and a
+    shift within _PERTURB ||H|| of the previous one, or one whose
+    factorization has a zero, subnormal-sized or non-finite entry, is
+    moved on.  With slack = max(M + 1, 1/_CLUSTER) eps, the band product
+    certifies each pair: the vector is kept at its second iterate with
     ||Hv - lambda v|| <= slack ||H||, which puts an eigenvalue of H within
     that of lambda.  The block is then checked in column blocks:
     max |V^T V - I| <= slack.  A failed certificate raises
@@ -316,7 +347,6 @@ def _interval_pairs(dia, lo, hi):
     rows, theta = np.empty((w.size, n)), np.empty(w.size)
     general = dia[[4, 3, 0, 2, 1]]  # H in LAPACK's general band storage
     band = np.zeros((7, n))  # dgbtrf's: kl = ku = 2 and 2 rows of fill
-    rng = np.random.default_rng(0)
     hv = np.empty(n)
     first, sigma = 0, -math.inf
     for k, lam in enumerate(w):
@@ -337,7 +367,7 @@ def _interval_pairs(dia, lo, hi):
             if np.min(np.abs(lu[4])) >= perturb * eps and np.all(np.isfinite(lu)):
                 break
             sigma += perturb * 2.0**step
-        x = rng.uniform(-1.0, 1.0, n)
+        x = _start_vector(k, n)
         passed = 0
         for _ in range(_INVIT_STEPS):
             x *= perturb / np.max(np.abs(x))
@@ -447,25 +477,17 @@ def _certify_end(band, gersh, sign):
     fallback and clips the bound.
 
     When the Gershgorin end lies within the final bracket of the true
-    end, every factorization fails.  So the last point that such a run
-    would probe is factored first: every earlier probe lies deeper inside
-    the spectrum, so if that one fails they all would, and the Gershgorin
-    end is returned at once, the result the bisection would reach.  If
-    it succeeds, the bisection runs as before, one factorization later.
+    end, every factorization fails.  So when the first probe fails, the
+    last point that an all-refused run would probe is factored: every
+    probe before it lies deeper inside the spectrum, so if that one fails
+    they all would, and the Gershgorin end is returned at once, the result
+    the bisection would reach.  If it succeeds, the bisection runs on as
+    before, one factorization later.
     """
     centre, half = gersh
     wall = centre + sign * half
     inner = sign * float(np.max(sign * band[0]))
-    # The probes of a bisection in which every factorization fails.
-    last, probe = None, inner
-    while sign * (wall - probe) > _BISECT_TOL * half:
-        sigma = 0.5 * (probe + wall)
-        if sigma == probe or sigma == wall:
-            break
-        last = probe = sigma
-    if last is None or _factor_shifted(band, sign, last)[2] != 0:
-        return wall  # no tighter end can be proven: Gershgorin's stands
-    outer, proof = wall, None
+    outer, proof, first = wall, None, True
     while sign * (outer - inner) > _BISECT_TOL * half:
         sigma = 0.5 * (inner + outer)
         if sigma == inner or sigma == outer:
@@ -475,9 +497,25 @@ def _certify_end(band, gersh, sign):
             outer, proof = sigma, (ab, chol)
         else:
             inner = sigma
+            if first:
+                last = _last_refused_probe(inner, wall, sign, half)
+                if last != inner and _factor_shifted(band, sign, last)[2] != 0:
+                    return wall  # no tighter end can be proven: Gershgorin's stands
+        first = False
     if proof is None:
         return wall  # no tighter end proven: Gershgorin's stands
     return _proven_end(proof, outer, wall, sign)
+
+
+def _last_refused_probe(inner, wall, sign, half):
+    """The last point the bisection from inner toward wall probes if every
+    factorization fails: inner itself when it probes none."""
+    while sign * (wall - inner) > _BISECT_TOL * half:
+        sigma = 0.5 * (inner + wall)
+        if sigma == inner or sigma == wall:
+            break
+        inner = sigma
+    return inner
 
 
 def _proven_end(proof, outer, wall, sign):
@@ -725,9 +763,12 @@ def _moment_window(h, s0):
     covering the five-term band product and the shifted diagonal, so
     ||x_m|| + ||b_m|| bounds the square root of mu_2m.  Both are rescaled by
     powers of two, which is exact, and R_m, quasi-convex in m because
-    log mu_2m is convex, is followed to its first rise.  The interval is
-    widened by (M + 1) eps ||H|| on each side to take in the rounding of
-    the computed eigenvalues.  Returns lo, hi and delta^2.
+    log mu_2m is convex, is followed to its first rise, or until it falls
+    by less than 1 % in a step (_STALL) while [E - R_m, E + R_m] holds the
+    Gershgorin interval: every m bounds the weight left out, so stopping
+    early only widens a window that already holds the whole spectrum.
+    The interval is widened by (M + 1) eps ||H|| on each side to take in
+    the rounding of the computed eigenvalues.  Returns lo, hi and delta^2.
     """
     dia = h.to_dia()
     norm = _norm_bound(dia)
@@ -744,6 +785,8 @@ def _moment_window(h, s0):
     budget = _WINDOW_TOL / h.m_total
     delta2 = 0.5 * (budget / (math.sqrt(r2) + math.sqrt(r2 + budget))) ** 2
     band[0] -= energy
+    centre, half = _gershgorin(band, [n])
+    reach = abs(float(centre[0])) + float(half[0])
     mag = np.abs(band)
     gamma = 7.0 * _UNIT_ROUNDOFF / (1.0 - 7.0 * _UNIT_ROUNDOFF)
     b = np.zeros(n)
@@ -769,7 +812,10 @@ def _moment_window(h, s0):
         log_r = (math.log(bound) + log_scale * math.log(2.0)) / m - math.log(delta2) / (2 * m)
         if log_r > best:
             break
+        stalled = log_r > best + _STALL and math.exp(log_r) >= reach
         best = log_r
+        if stalled:
+            break
     radius = math.ldexp(math.exp(best), shift)
     energy = math.ldexp(energy, shift)
     margin = (h.m_total + 1) * 2.0 * _UNIT_ROUNDOFF * norm

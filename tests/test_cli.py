@@ -554,6 +554,48 @@ def test_protocol_names_keep_ground_solves_on_lapack(tmp_path):
     assert loaded == "['scipy.linalg._flapack']\n"
 
 
+# Runs each CLI request given as a JSON list of argument lists, then a
+# library trace at M = 100, all in one fresh interpreter, and prints the
+# steps after which numpy.random is loaded: the first one loaded it.
+_RANDOM_AFTER_STEPS = """\
+import json, runpy, sys
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["bogodense", *argv]
+    try:
+        runpy.run_module("bogodense.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+    loaded += [argv[0]] if "numpy.random" in sys.modules else []
+import bogodense as b
+dp = b.to_dimensionless(b.PhysicalParams(
+    mass=1.44e-25, scattering_length=1e-8, trap_frequency=1000.0, nbar=100.0, n0=100.0))
+gm = b.solve_gpe(dp, b.default_grid(dp, n_points=1500))
+co = b.coefficients(gm, b.build_xi1(gm), dp)
+b.mean_n1_trace(b.build_h01(co, 100), b.fock_state(100, 0), [0.0, 0.5, 1.0])
+loaded += ["mean_n1_trace"] if "numpy.random" in sys.modules else []
+print(loaded)
+"""
+
+
+def test_no_request_loads_numpy_random(tmp_path):
+    # The inverse-iteration starts of the exact trace are numpy arithmetic,
+    # so no CLI request and no library trace loads numpy.random (and
+    # through it secrets, hashlib, hmac and OpenSSL's _hashlib).
+    requests = [
+        ["ground", "--tf"],
+        ["modes"],
+        ["figure1"],
+        ["bdg"],
+        ["dynamics", "--nbar", "100", "--n0", "100"],
+        ["protocol", "--cycles", "200", "--n0", "100", "--nbar", "100"],
+    ]
+    argvs = [[*argv, "--output", str(tmp_path / f"{argv[0]}.csv")] for argv in requests]
+    assert _fresh_python("-c", _RANDOM_AFTER_STEPS, json.dumps(argvs)) == "[]\n"
+    for argv in requests:
+        assert (tmp_path / f"{argv[0]}.csv").stat().st_size > 0, argv[0]
+
+
 # The --help texts of the tree before the CLI's imports became per
 # command; `dynamics --help` names the eigensolver limit, which no longer
 # comes from twomode and no longer prices an (M + 1)^2 eigenvector matrix,

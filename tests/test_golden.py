@@ -37,7 +37,7 @@ GOLDEN = {
     ),
     "dynamics": (
         ["dynamics", *F],
-        "0d26cdc2d3cf4dd1a1f10c53d568812505d36eea4cd005003dc6410659cafce1",
+        "39de3635459a3fd719be99899db9634c5a59e645bfb41eea075ee08ba2918aa0",
         "4204d628b8422cd0804ac203938e9cf6c25524dedd02e562ab57a62f4a7ec4b2",
     ),
     "protocol twopoint:80,120": (

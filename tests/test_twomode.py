@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -648,15 +649,15 @@ def _bisect_every_probe(band, gersh, sign):
     return wall if proof is None else twomode._proven_end(proof, outer, wall, sign)
 
 
-def _refusals_per_end(monkeypatch, certify_end, dia):
-    """(_certified(dia), dpbtrf refusals at the bottom and at the top end)."""
+def _factorizations_per_end(monkeypatch, certify_end, dia):
+    """(_certified(dia), dpbtrf (calls, refusals) at the bottom and at the top end)."""
     infos = _record_dpbtrf(monkeypatch)
     ends = []
 
     def counted(band, gersh, sign):
         start = len(infos)
         out = certify_end(band, gersh, sign)
-        ends.append(sum(info > 0 for info in infos[start:]))
+        ends.append((len(infos) - start, sum(info > 0 for info in infos[start:])))
         return out
 
     monkeypatch.setattr(twomode, "_certify_end", counted)
@@ -670,20 +671,33 @@ def test_refused_bisection_stops_at_its_first_factorization(request, monkeypatch
     # At M = 5000 the Gershgorin end of the top lies within the final
     # bracket of the true end (nbar = 1000, and evolve_large's nbar = 1e4),
     # so every one of the bisection's 10 factorizations there was refused.
-    # The last of them is now factored first: refused, it ends the top at
-    # once.  The bottom ends bisect as before (3 and 5 refusals), after a
-    # first factorization that succeeds.
+    # At the first refusal the last of them is factored: refused, it ends
+    # the top at once, after 2 refused calls.  The bottom ends bisect as
+    # before (3 and 5 refusals).
     dia = build_h01(request.getfixturevalue(case)["coeffs"], 5000).to_dia()
-    old, (old_bottom, old_top) = _refusals_per_end(monkeypatch, _bisect_every_probe, dia)
-    new, (bottom, top) = _refusals_per_end(monkeypatch, twomode._certify_end, dia)
-    assert old_top == 10 and top == 1
-    assert bottom == old_bottom <= 5
+    old, (old_bottom, old_top) = _factorizations_per_end(monkeypatch, _bisect_every_probe, dia)
+    new, (bottom, top) = _factorizations_per_end(monkeypatch, twomode._certify_end, dia)
+    assert old_top == (10, 10) and top == (2, 2)
+    assert bottom[1] == old_bottom[1] <= 5
     assert new == old
 
 
+def test_only_a_refused_first_probe_checks_the_last_one(case1000, monkeypatch):
+    # The last probe of an all-refused run is factored only after the
+    # bisection's first refusal, when nothing is proven yet.  At M = 5000
+    # (nbar = 1000) the top end is all refused: 2 calls against the plain
+    # bisection's 10.  The bottom end's first probe succeeds, so it makes
+    # the plain bisection's 5 calls (3 refused) and not one more.
+    dia = build_h01(case1000["coeffs"], 5000).to_dia()
+    _, plain = _factorizations_per_end(monkeypatch, _bisect_every_probe, dia)
+    _, ends = _factorizations_per_end(monkeypatch, twomode._certify_end, dia)
+    assert plain == [(5, 3), (10, 10)]
+    assert ends == [(5, 3), (2, 2)]
+
+
 def test_certified_bytes_unchanged_over_protocol_sectors(case1000, case10000):
-    # The first factorization only skips probes whose refusal it proves,
-    # so _certified returns the plain bisection's bytes: over the top
+    # The factorization of the last probe only skips probes whose refusal
+    # it proves, so _certified returns the plain bisection's bytes: over the top
     # sectors of a protocol at n0 = 1000 (m_max = 1190) and at M = 5000.
     sectors = [(case1000, m) for m in range(1000, 1191, 10)]
     sectors += [(case1000, 5000), (case10000, 5000)]
@@ -902,6 +916,53 @@ def test_window_engages_at_criterion_two_shape(case1000):
     assert 1000 * delta * (2.0 + delta) <= twomode._WINDOW_TOL
 
 
+def _window_steps(monkeypatch, h, s0):
+    """(_moment_window(h, s0), its steps m): each step makes two band products."""
+    calls = []
+    matvec = twomode.dia_matvec
+    monkeypatch.setattr(twomode, "dia_matvec", lambda *args: calls.append(matvec(*args)))
+    out = twomode._moment_window(h, s0)
+    monkeypatch.setattr(twomode, "dia_matvec", matvec)
+    return out, (len(calls) - 1) // 2
+
+
+def test_moment_window_stops_once_it_holds_the_spectrum(case1000, monkeypatch):
+    # A random complex start spreads over the whole spectrum, and R_m
+    # falls through all 2(M + 1) steps: 2002 at M = 1000, 8002 at M = 4000.
+    # Once R_m falls by less than 1 % in a step while the window holds the
+    # Gershgorin interval, the window stops, about 60 steps in, and still
+    # selects every eigenvalue, as the full run does.
+    rng = np.random.default_rng(5)
+    for m in (4000, 1000):
+        h = build_h01(case1000["coeffs"], m)
+        amp = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+        s0 = TwoModeState(amp / np.linalg.norm(amp))
+        start = time.perf_counter()
+        twomode._moment_window(h, s0)
+        assert time.perf_counter() - start < 0.1
+        (lo, hi, _), steps = _window_steps(monkeypatch, h, s0)
+        w = eig_banded(h.to_dia()[[0, 2, 1]], lower=True, eigvals_only=True)
+        assert steps <= 100 and lo <= w[0] and w[-1] <= hi
+    monkeypatch.setattr(twomode, "_STALL", math.inf)
+    (lo, hi, _), steps = _window_steps(monkeypatch, h, s0)
+    assert steps == 2002 and lo <= w[0] and w[-1] <= hi
+
+
+def test_moment_window_of_a_fock_start_never_stalls(request, monkeypatch):
+    # |M, 0> at the trace's shapes follows R_m to its first rise (36-66
+    # steps): the stall stop never fires, and each window is the one the
+    # full run gives, to the bit.
+    shapes = [("case100", 100), ("case1000", 1000), ("case1000", 2000), ("case10000", 4000)]
+    for case, m in shapes:
+        h = build_h01(request.getfixturevalue(case)["coeffs"], m)
+        (window, steps) = _window_steps(monkeypatch, h, fock_state(m, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(twomode, "_STALL", math.inf)
+            full = twomode._moment_window(h, fock_state(m, 0))
+        assert np.array(window).tobytes() == np.array(full).tobytes(), m
+        assert steps < 100, m
+
+
 @pytest.mark.parametrize("m_total", [100, 1000])
 def test_eigensystem_pairs_match_eig_banded_and_eigh(case1000, m_total):
     # dsbevd's eigenvalues, with the arguments eig_banded passes it for
@@ -973,6 +1034,25 @@ def test_singular_shift_moves_on(monkeypatch):
     assert np.allclose(np.abs(v), np.eye(7)[:, np.argsort(h.diag)], atol=1e-12)
 
 
+def test_fixed_starts_converge_as_random_ones_do(case1000, monkeypatch):
+    # At criterion 2's shape (M = nbar = 1000, |M, 0>) the 311 window
+    # vectors take 2.12 dgbtrs solves each from the hashed starts, as from
+    # numpy's seeded random ones (2.11); two is the least.  The starts are
+    # well conditioned, as random ones are: a low-discrepancy lattice
+    # (R2) gives 101 starts of length 101 that span only 90 dimensions.
+    solves = []
+    dgbtrs = twomode.dgbtrs
+    monkeypatch.setattr(
+        twomode, "dgbtrs", lambda *args, **kwargs: solves.append(0) or dgbtrs(*args, **kwargs)
+    )
+    h = build_h01(case1000["coeffs"], 1000)
+    w, _ = h.eigensystem(*twomode._moment_window(h, fock_state(1000, 0))[:2])
+    assert w.size == 311 and len(solves) <= 2.2 * w.size
+    starts = np.array([twomode._start_vector(k, 101) for k in range(101)])
+    assert np.linalg.cond(starts) < 1e4
+    assert np.all(np.abs(starts) <= 1.0) and abs(float(np.mean(starts))) < 0.01
+
+
 @pytest.mark.parametrize("broken", ["residual", "orthogonality"])
 def test_failed_certificate_raises_and_caches_nothing(monkeypatch, broken):
     if broken == "residual":
@@ -980,11 +1060,12 @@ def test_failed_certificate_raises_and_caches_nothing(monkeypatch, broken):
         monkeypatch.setattr(twomode, "dgbtrs", lambda lu, kl, ku, b, piv, overwrite_b: (b, 0))
         h, match = build_h01(GENERIC, 6), "left a residual"
     else:
-        # H = 6 I: every vector is an eigenvector, and without
-        # reorthogonalization the random starts stay far from orthogonal.
+        # H = 6 I: every vector is an eigenvector, so each solve returns
+        # its start scaled, and without reorthogonalization the fixed
+        # starts of _start_vector stay far from orthogonal (7.7e-01).
         monkeypatch.setattr(twomode, "_CLUSTER", -1.0)
         h = build_h01(synthetic_coeffs(mu=1.0, mu1=1.0), 6)
-        match = "orthogonal only to"
+        match = r"orthogonal only to [1-9]\.\d+e-01"
     with pytest.raises(EigensolverError, match=match) as err:
         mean_n1_trace(h, fock_state(6, 1), [0.5])
     assert err.value.category == "eigensolver-failure"
