@@ -28,11 +28,18 @@ from .errors import (
 from .gpe import solve_gpe, thomas_fermi_mode
 from .grid import default_grid
 from .modes import build_xi1, coefficients
-from .params import _EIG_LIMIT, HBAR, PhysicalParams, to_dimensionless
+from .params import HBAR, PhysicalParams, to_dimensionless
 
 # Each command imports what it needs (bdg, protocol, twomode) inside its
 # function.  No command imports a scipy package: every LAPACK routine comes
 # from scipy's LAPACK extension alone (params._scipy_extension).
+
+# Largest dynamics --m-total of an exact trace, a cap for time and memory:
+# twomode.mean_n1_trace serves any M, but takes all M + 1 eigenvalues from
+# dsbevd and holds (M + 1) x window floats of eigenvectors.  401 samples
+# from |M, 0> at nbar = M took 1.5 s at M = 4001 (457 modes) and 4.7 s and
+# 78 MB of peak RSS at M = 8000 (552 modes), at one BLAS thread.
+_EIG_LIMIT = 4000
 
 # Largest protocol --m-max: the protocol computes no eigensystem, but it
 # iterates a dense transition matrix of (m_max + 1)^2 floats, 128 MB here.

@@ -20,14 +20,6 @@ from .errors import InvalidParameterError
 
 # 2018 CODATA reduced Planck constant, J s.
 HBAR = 1.054571817e-34
-# Largest total atom number M whose two-mode eigenpairs the exact trace
-# samples: twomode.mean_n1_trace takes all M + 1 eigenvalues from dsbevd
-# and the eigenvectors of the start state's energy window only, (M + 1) x
-# window floats (743 of 4001 modes from |M, 0> at nbar = 1e4).  Above it
-# the trace steps the propagator, and the CLI refuses an exact dynamics
-# trace.  It lives in this scipy-free module so that the CLI's
-# --help need not import twomode.
-_EIG_LIMIT = 4000
 
 
 def _scipy_extension(name):

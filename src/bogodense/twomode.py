@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRegimeError,
 )
-from .params import _EIG_LIMIT, _count, _real, _scipy_extension
+from .params import _count, _real, _scipy_extension
 
 # The compiled routines this module calls, taken from scipy's extension
 # modules without importing the scipy.linalg and scipy.sparse packages.
@@ -36,11 +36,9 @@ dsbevd, dpbtrf = _flapack.dsbevd, _flapack.dpbtrf
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dia_matvec = _scipy_extension("scipy.sparse._sparsetools").dia_matvec
 
-# mean_n1_trace samples the eigenpairs of one energy window up to M =
-# _EIG_LIMIT (see params): the window's moment bound on the start weight
-# outside it, delta^2, keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a
-# unit start; above it the trace steps the Chebyshev propagator between
-# sorted times.
+# mean_n1_trace samples the eigenpairs of one energy window: the window's
+# moment bound on the start weight outside it, delta^2, keeps
+# M*(2*delta + delta^2) <= _WINDOW_TOL for a unit start.
 _WINDOW_TOL = 1e-12
 # Samples per block of the spectral trace, and eigenvector rows per block
 # of its window's number operator: a block holds a few window x
@@ -686,6 +684,20 @@ def _check_state(h, s0):
         )
 
 
+def _step_count(h, t):
+    """The equal Chebyshev steps, of at most _Z_MAX / 2 terms each, that
+    evolve_exact splits t into; UnsupportedRegimeError when so many that
+    their truncation bounds, up to _TAIL_TOL each, could exceed 1e-6 in
+    all, the norm-drift tolerance of evolve_exact."""
+    steps = float(_gershgorin(h.to_dia(), [h.m_total + 1])[1][0]) * abs(t) / (0.5 * _Z_MAX)
+    if not steps * _TAIL_TOL <= 1e-6:
+        raise UnsupportedRegimeError(
+            f"evolving for t = {t:g} takes about {steps:.3g} Chebyshev steps, "
+            f"whose truncation bound could exceed 1e-6"
+        )
+    return max(1, math.ceil(steps))
+
+
 def evolve_exact(h, s0, t):
     """Evolve a two-mode state for time t (units of 1/omega).
 
@@ -700,15 +712,7 @@ def evolve_exact(h, s0, t):
     t = _real(t, "t")
     if t == 0.0:
         return s0
-    steps = float(_gershgorin(h.to_dia(), [h.m_total + 1])[1][0]) * abs(t) / (0.5 * _Z_MAX)
-    # Each step adds up to _TAIL_TOL to the error bound; past 1e-6 in all
-    # the bound could exceed the norm-drift tolerance checked below.
-    if not steps * _TAIL_TOL <= 1e-6:
-        raise UnsupportedRegimeError(
-            f"evolving for t = {t:g} takes about {steps:.3g} Chebyshev steps, "
-            f"whose truncation bound could exceed 1e-6"
-        )
-    steps = max(1, math.ceil(steps))
+    steps = _step_count(h, t)
     amp, bound = s0.amplitudes, s0.error_bound
     for _ in range(steps):
         parts = [amp.real, amp.imag] if np.any(amp.imag) else [amp.real]
@@ -825,58 +829,50 @@ def _moment_window(h, s0):
 def mean_n1_trace(h, s0, times):
     """<n1>(t) sampled at the given times.
 
-    Up to M = _EIG_LIMIT the trace takes the eigenpairs of the one energy
-    window that s0 occupies (_moment_window: the weight left out, delta^2,
-    keeps M*(2*delta + delta^2) <= _WINDOW_TOL for a unit s0, which bounds
-    the change of every sample) from h.eigensystem(lo, hi), which computes
-    the window's eigenvectors only.  The number operator is projected on
-    the window once, N_W = v_W^T diag(n) v_W, so each block of samples
-    costs two window x window products instead of two dimension x window
-    ones.  Forming N_W costs about (M+1) W^2 multiply-adds up front, so
-    this gains only when the samples are many next to the window W.  Above
-    _EIG_LIMIT it steps the Chebyshev propagator through the sorted times.
-    As mean_n1_analytic, it returns a float for a scalar time and an array
-    of the shape of times otherwise.
+    The trace takes the eigenpairs of the one energy window that s0
+    occupies (_moment_window: the weight left out, delta^2, keeps
+    M*(2*delta + delta^2) <= _WINDOW_TOL for a unit s0, which bounds the
+    change of every sample) from h.eigensystem(lo, hi), which computes the
+    window's eigenvectors only.  The number operator is projected on the
+    window once, N_W = v_W^T diag(n) v_W, so each block of samples costs
+    two window x window products instead of two dimension x window ones,
+    after about (M+1) W^2 multiply-adds up front.  The trace serves the
+    times evolve_exact serves: before any eigenpair is computed, a phase
+    that overflows a float at H's norm bound is refused, then a time past
+    evolve_exact's step budget (_step_count).  As mean_n1_analytic, it
+    returns a float for a scalar time and an array of the shape of times
+    otherwise.
     """
     _check_state(h, s0)
     times = _times(times)
     shape, times = times.shape, times.ravel()
+    _check_phases(_norm_bound(h.to_dia()), times)
+    _step_count(h, float(np.max(np.abs(times), initial=0.0)))
     n = np.arange(h.m_total + 1, dtype=float)
     out = np.empty(times.shape)
-    if h.m_total <= _EIG_LIMIT:
-        # In the window, <N>(t) = x_r^T N_W x_r + x_i^T N_W x_i with
-        # N_W = v^T diag(n) v and x = exp(-iwt) c0 split into its real
-        # and imaginary parts, so v is never copied to complex.  N_W is
-        # summed over row blocks of v, and the samples go in blocks, so
-        # no (dimension x samples) array is held.
-        w, v = h.eigensystem(*_moment_window(h, s0)[:2])
-        _check_phases(float(np.max(np.abs(w), initial=0.0)), times)
-        cr = v.T @ s0.amplitudes.real
-        ci = v.T @ s0.amplitudes.imag
-        number = np.zeros((w.size, w.size))
-        for lo in range(0, n.size, _TRACE_BLOCK):
-            rows = v[lo : lo + _TRACE_BLOCK]
-            number += rows.T @ (n[lo : lo + _TRACE_BLOCK, None] * rows)
-        for lo in range(0, times.size, _TRACE_BLOCK):
-            phase = np.outer(w, times[lo : lo + _TRACE_BLOCK])
-            cos, sin = np.cos(phase), np.sin(phase)
-            re = cos * cr[:, None] + sin * ci[:, None]
-            im = cos * ci[:, None] - sin * cr[:, None]
-            out[lo : lo + _TRACE_BLOCK] = np.sum(re * (number @ re), axis=0) + np.sum(
-                im * (number @ im), axis=0
-            )
-        # At t = 0 the state is s0 itself, as in evolve_exact; the GEMMs
-        # would leave round-off there that depends on the BLAS thread count.
-        out[times == 0.0] = mean_n1(s0)
-    else:
-        state = s0
-        t_prev = 0.0
-        for i in np.argsort(times):
-            t = times[i]
-            if t != t_prev:
-                state = evolve_exact(h, state, t - t_prev)
-                t_prev = t
-            out[i] = mean_n1(state)
+    # In the window, <N>(t) = x_r^T N_W x_r + x_i^T N_W x_i with
+    # N_W = v^T diag(n) v and x = exp(-iwt) c0 split into its real and
+    # imaginary parts, so v is never copied to complex.  N_W is summed
+    # over row blocks of v, and the samples go in blocks, so no
+    # (dimension x samples) array is held.
+    w, v = h.eigensystem(*_moment_window(h, s0)[:2])
+    cr = v.T @ s0.amplitudes.real
+    ci = v.T @ s0.amplitudes.imag
+    number = np.zeros((w.size, w.size))
+    for lo in range(0, n.size, _TRACE_BLOCK):
+        rows = v[lo : lo + _TRACE_BLOCK]
+        number += rows.T @ (n[lo : lo + _TRACE_BLOCK, None] * rows)
+    for lo in range(0, times.size, _TRACE_BLOCK):
+        phase = np.outer(w, times[lo : lo + _TRACE_BLOCK])
+        cos, sin = np.cos(phase), np.sin(phase)
+        re = cos * cr[:, None] + sin * ci[:, None]
+        im = cos * ci[:, None] - sin * cr[:, None]
+        out[lo : lo + _TRACE_BLOCK] = np.sum(re * (number @ re), axis=0) + np.sum(
+            im * (number @ im), axis=0
+        )
+    # At t = 0 the state is s0 itself, as in evolve_exact; the GEMMs would
+    # leave round-off there that depends on the BLAS thread count.
+    out[times == 0.0] = mean_n1(s0)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 

@@ -253,7 +253,7 @@ def test_criterion_7_infrastructure(case100, case1000):
     def norm2(state):
         return float(np.sum(np.abs(state.amplitudes) ** 2))
 
-    w, v = h.eigensystem()  # the spectral trace's path
+    w, v = h.eigensystem()  # every eigenpair, by the trace's eigensolver
     spectral = v @ (np.exp(-1j * w * period) * v[0])
     drift_eig = abs(float(np.sum(np.abs(spectral) ** 2)) - 1.0)
     drift_cheb = abs(norm2(evolve_exact(h, s0, period)) - 1.0)

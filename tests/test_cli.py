@@ -388,6 +388,16 @@ def test_dynamics_rejects_tiny_step_count(capsys):
             captured = capsys.readouterr()
             assert captured.out == "", mode
             assert captured.err.startswith("error [invalid-parameter]:"), mode
+    # At --t-max 1e12 the exact trace printed phase noise and exit 0: it now
+    # serves the times evolve_exact serves.  1e6 is still served.
+    args = ["dynamics", *FAST, "--m-total", "120", "--steps", "3", "--mode", "exact"]
+    assert main([*args, "--t-max", "1e12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [unsupported-regime]:")
+    assert "Chebyshev steps" in captured.err
+    assert main([*args, "--t-max", "1e6"]) == 0
+    assert capsys.readouterr().out.startswith("t,n1_exact\n")
 
 
 # Requests whose stdout and files must not depend on the BLAS thread
@@ -682,15 +692,21 @@ def test_help_text_is_unchanged():
     assert _fresh_python("-m", "bogodense.cli", "dynamics", "--help", COLUMNS="80") == DYNAMICS_HELP
 
 
-def test_dynamics_exact_trace_limited_to_eigensolver_size(capsys):
-    # The default M = round(nbar) = 1e5 is beyond the eigensolver limit of
-    # the sampled trace: exact traces are refused up front, the analytic
-    # law still runs there.
-    for mode in ("exact", "both"):
-        assert main(["dynamics", "--grid-points", "800", "--mode", mode]) == 1
-        err = capsys.readouterr().err
-        assert "[unsupported-regime]" in err and "--mode analytic" in err
-        assert "eigensolver limit 4000;" in err
+def test_dynamics_exact_trace_limited_to_eigensolver_size(monkeypatch, capsys):
+    # The default M = round(nbar) = 1e5, and M = 4001 just past it, are
+    # beyond the CLI's eigensolver limit on the sampled trace: exact traces
+    # are refused before the GPE solve, the analytic law still runs there.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_gpe called before the eigensolver limit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("bogodense.cli.solve_gpe", no_solve)
+        for extra in ([], ["--m-total", "4001"]):
+            for mode in ("exact", "both"):
+                assert main(["dynamics", "--grid-points", "800", "--mode", mode, *extra]) == 1
+                err = capsys.readouterr().err
+                assert "[unsupported-regime]" in err and "--mode analytic" in err
+                assert "eigensolver limit 4000;" in err
     args = ["dynamics", "--grid-points", "800", "--steps", "5", "--mode", "analytic"]
     assert main(args) == 0
     out = capsys.readouterr().out

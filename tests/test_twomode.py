@@ -738,16 +738,18 @@ def test_overflowing_phases_rejected():
             mean_n1_analytic(law, times)
 
 
-def test_huge_times_refused_before_stepping(case100, monkeypatch):
+def test_huge_times_refused_before_stepping(case100):
     # t = 1e300 meant about 1.8e296 Chebyshev steps: the call never returned.
     h = build_h01(case100["coeffs"], 100)
     with pytest.raises(UnsupportedRegimeError, match="steps"):
         evolve_exact(h, fock_state(100, 0), 1e300)
-    # The stepped trace above the eigensolver limit takes the same way out.
-    monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
+    # The trace serves the times evolve_exact serves: at t = 1e12 it printed
+    # phase noise, 0.3608 against 0.3585 at t (1 + 1e-15).
     h = build_h01(case100["coeffs"], 120)
-    with pytest.raises(UnsupportedRegimeError, match="steps"):
-        mean_n1_trace(h, fock_state(120, 0), np.array([0.0, 1e300]))
+    for t in (1e300, 1e12):
+        with pytest.raises(UnsupportedRegimeError, match="steps"):
+            mean_n1_trace(h, fock_state(120, 0), np.array([0.0, t]))
+    assert 0.0 <= mean_n1_trace(h, fock_state(120, 0), 1e6) <= 120.0
 
 
 def test_truncation_past_its_tolerance_refused(case100, monkeypatch):
@@ -763,38 +765,49 @@ def test_truncation_past_its_tolerance_refused(case100, monkeypatch):
         cfg.kernels([20, 3])
 
 
-def test_trace_refuses_a_state_of_another_size(monkeypatch):
-    # The eigensystem branch died in numpy's matmul on an M = 12 state for an
-    # M = 10 Hamiltonian; the stepped branch refused through evolve_exact.
+def test_trace_refuses_a_state_of_another_size():
+    # The trace died in numpy's matmul on an M = 12 state for an M = 10
+    # Hamiltonian.
     h = build_h01(GENERIC, 10)
-    times = np.array([0.0, 0.5])
-    for limit in (twomode._EIG_LIMIT, 5):
-        monkeypatch.setattr(twomode, "_EIG_LIMIT", limit)
-        with pytest.raises(InvalidParameterError, match="state has M = 12"):
-            mean_n1_trace(h, fock_state(12, 0), times)
+    with pytest.raises(InvalidParameterError, match="state has M = 12"):
+        mean_n1_trace(h, fock_state(12, 0), np.array([0.0, 0.5]))
 
 
-def test_trace_fallback_path_matches(case100, monkeypatch):
+def test_trace_fallback_path_matches(case100):
     co = case100["coeffs"]
     law = oscillation_law(co, 120)
     times = np.linspace(0.0, 2.0 * math.pi / law.omega_prime, 40)
-    ref = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times)
+    h, s0 = build_h01(co, 120), fock_state(120, 0)
+    ref = mean_n1_trace(h, s0, times)
     # sample order must not matter
     idx = np.random.default_rng(1).permutation(times.size)
     shuffled = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times[idx])
     assert np.max(np.abs(shuffled - ref[idx])) == 0.0
-    # Above the limit the trace steps the Chebyshev propagator.
-    monkeypatch.setattr(twomode, "_EIG_LIMIT", 50)
-    alt = mean_n1_trace(build_h01(co, 120), fock_state(120, 0), times)
+    # The Chebyshev propagator, one evolve_exact per time, agrees.
+    alt = np.array([mean_n1(evolve_exact(h, s0, t)) for t in times])
     assert np.max(np.abs(ref - alt)) < 1e-10
 
 
-@pytest.mark.parametrize("limit", [twomode._EIG_LIMIT, 50])
-def test_trace_keeps_the_shape_of_times(case100, monkeypatch, limit):
+def test_trace_above_the_old_limit_takes_the_window(case10000, monkeypatch):
+    # Above M = 4000 the trace stepped evolve_exact through the sorted
+    # times; now the energy window serves every M.
+    co = case10000["coeffs"]
+    h, s0 = build_h01(co, 4001), fock_state(4001, 0)
+
+    def refused(*args):
+        raise AssertionError("the trace called evolve_exact")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(twomode, "evolve_exact", refused)
+        trace = mean_n1_trace(h, s0, np.array([0.0, 0.01, 0.5]))
+    assert trace[0] == 0.0
+    assert abs(trace[1] - mean_n1(evolve_exact(h, s0, 0.01))) < 1e-10
+
+
+def test_trace_keeps_the_shape_of_times(case100):
     # A scalar time raised a bare IndexError and a (2, 2) array a broadcast
     # ValueError; like mean_n1_analytic, the trace now returns a float for
-    # a scalar and the shape of times otherwise, on both branches.
-    monkeypatch.setattr(twomode, "_EIG_LIMIT", limit)
+    # a scalar and the shape of times otherwise.
     h, s0 = build_h01(case100["coeffs"], 120), fock_state(120, 0)
     grid = np.array([[0.0, 0.5], [1.5, 1.0]])
     flat = mean_n1_trace(h, s0, grid.ravel())
